@@ -13,7 +13,9 @@ So one scaled pmf table per evaluation point yields every factor at once:
 prefix sums give the factor complements (relatively accurate when the
 factor is near 1), suffix sums give the factors themselves (relatively
 accurate when tiny), and the log-product is the sum of per-factor logs,
-with early exit to 0 once it falls below log(1e-320).  This is
+with early exit to 0 once it falls below log(1e-320).  For product k=1 a
+Chernoff bound on the Poisson lower tail also certifies, with no table,
+the radii at which every factor is 1 and the log-product is 0.  This is
 cancellation-free and O(support) per point, where per-point support is
 windowed to mean +/- 45 sd once sizes are large.
 
@@ -134,7 +136,8 @@ def _spherical_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
     pos = r > 0.0
     if not np.any(pos):
         return out
-    rp = r[pos]
+    # r^2 must stay finite; past 1e150 every factor is 1 - O(n r^-2) = 1
+    rp = np.minimum(r[pos], 1e150)
     log_u = 2.0 * np.log(rp) - np.log1p(rp**2)
     log_1mu = -np.log1p(rp**2)
 
@@ -262,11 +265,28 @@ def _product_k1_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
     pos = r > 0.0
     if not np.any(pos):
         return out
-    rp = r[pos]
+    # clamping keeps y finite; the Chernoff test below certifies these radii
+    rp = np.minimum(r[pos], 1e150)
     y = rp**2
     log_y = 2.0 * np.log(rp)
 
-    res = np.empty(rp.shape)
+    # Chernoff: P(Poisson(y) <= k) <= e^-y (e y/k)^k for 0 < k < y.  Once n
+    # times that bound at k = n-1 is below the 1e-320 floor, every factor
+    # P(Poisson(y) >= j), j <= n, is 1 and the log-product is 0 to double
+    # precision, so those points skip the pmf kernel
+    k = n - 1
+    chernoff = -y + (k * (1.0 + log_y - math.log(k)) if k > 0 else 0.0) + math.log(n)
+    sure = (y > k) & (chernoff < _LOG_ZERO_CUT)
+    res = np.zeros(rp.shape)
+    rest = ~sure
+    res[rest] = _product_k1_kernel(n, y[rest], log_y[rest])
+    out[pos] = res
+    return out
+
+
+def _product_k1_kernel(n: int, y: np.ndarray, log_y: np.ndarray) -> np.ndarray:
+    """The same log-product from windowed Poisson(y) pmf tables, y = r^2 > 0."""
+    res = np.empty(y.shape)
     for start, ys in _chunked(y):
         ly = log_y[start : start + len(ys)]
         y_hi = float(np.max(ys))
@@ -286,8 +306,7 @@ def _product_k1_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
             -ys[:, None] + idx[None, :] * ly[:, None] - log_fact[i0 : i1 + 1][None, :]
         )
         res[start : start + len(ys)] = _factor_log_sum(log_pmf, i0, n)
-    out[pos] = res
-    return out
+    return res
 
 
 def _as_prob(log_v: float) -> float:

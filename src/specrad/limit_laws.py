@@ -13,13 +13,21 @@
 Both infinite products are evaluated as compensated sums of log factors
 with a certified truncation bound:
 
-  * For H, the identity sum_{k>=1} (1 - H_k(tau)) = tau makes the dropped
-    mass R_K = tau - sum_{k<=K} (1 - H_k(tau)) exactly computable, and
-    -log(1-u) <= u/(1-u) turns it into a bound on the dropped log sum.
+  * For H, the dropped mass R_K = sum_{k>K} (1 - H_k(tau)) = E[(X - K)^+]
+    with X ~ Poisson(tau) is a suffix sum of the pmf table's suffix sums,
+    so no term cancels, and -log(1-u) <= u/(1-u) turns it into a bound on
+    the dropped log sum.
   * For Phi_a, the Gaussian tail bound 1 - Phi(t) <= phi(t)/t plus the
     geometric factor-ratio bound exp(-sqrt(a) t) dominate the dropped tail.
 
 Each cdf value is returned as a CdfValue carrying its log and that bound.
+
+Neither product has a closed-form inverse, so ``quantiles`` inverts the
+vector cdf numerically in the law's natural coordinate (log x for H, the
+Gaussian argument t for Phi_a, x for the normal law).  One tabulation of
+the cdf on a fixed grid gives every level a bracketing cell (Hormann and
+Leydold, ACM TOMACS 2003); the levels not yet solved then take bracketed
+Illinois steps (Dowell and Jarratt, BIT 1971) until |F(x) - q| <= tol.
 """
 
 from __future__ import annotations
@@ -103,6 +111,10 @@ class CdfValue:
     truncation_bound: float
 
 
+# rows per block of the vector H tables, which have one row per point
+_H_ROW_BLOCK = 256
+
+
 def _validate_tol(tol: float) -> float:
     tol = float(tol)
     if not (math.isfinite(tol) and tol > 0.0):
@@ -138,6 +150,26 @@ def _poisson_table_span(tau: float) -> int:
     return int(math.ceil(tau + 12.0 * math.sqrt(tau + 1.0))) + 40
 
 
+def _dropped_complement_mass(tau, suffix: np.ndarray, total) -> np.ndarray:
+    """R_k = sum_{l>k} (1 - H_l(tau)) = E[(X - k)^+], X ~ Poisson(tau), for
+    k = 1..i_max, along the last axis of a weight table on 0..i_max.
+
+    Inside the table R_k is a suffix sum of the suffix sums, a sum of
+    positives with no cancellation.  The complements beyond the table's end
+    add at most p_m ((m+1)/(m+1-tau))^2 with m = i_max + 1, since the pmf
+    ratios tau/(l+1) stay below tau/(m+1) < 1 there.
+    """
+    tail = np.cumsum(suffix[..., ::-1], axis=-1)[..., ::-1]
+    inside = np.zeros(suffix.shape[:-1] + (suffix.shape[-1] - 1,))
+    inside[..., :-1] = tail[..., 2:]
+    tau = np.asarray(tau, dtype=float)
+    m = suffix.shape[-1]
+    with np.errstate(divide="ignore"):
+        log_p_m = -tau + m * np.log(tau) - math.lgamma(m + 1.0)
+    beyond = np.exp(log_p_m) * ((m + 1.0) / (m + 1.0 - tau)) ** 2
+    return inside / np.asarray(total)[..., None] + np.asarray(beyond)[..., None]
+
+
 def spherical_h_cdf(x: float, tol: float = 1e-12, max_terms: int = 200_000) -> CdfValue:
     """H(x) for the spherical radius limit; exactly 0 for x <= 0.
 
@@ -159,35 +191,32 @@ def spherical_h_cdf(x: float, tol: float = 1e-12, max_terms: int = 200_000) -> C
 
     i_max = _poisson_table_span(tau)
     prefix, suffix, total = _poisson_weight_table(tau, i_max)
+    dropped = _dropped_complement_mass(tau, suffix, total)
 
     log_factors: list[float] = []
-    complements: list[float] = []
     k = 0
     while True:
         k += 1
-        if k > max_terms:
-            partial = tau - math.fsum(complements)
-            raise NonConvergenceError(
-                f"spherical H truncation did not reach tol={tol} within "
-                f"{max_terms} factors at x={x}",
-                achieved=partial / max(1e-300, 1.0 - complements[-1]),
-            )
         if k + 1 > i_max:
             i_max *= 2
             prefix, suffix, total = _poisson_weight_table(tau, i_max)
+            dropped = _dropped_complement_mass(tau, suffix, total)
         # c_k = P(Poi >= k) = 1 - H_k; h_k = H_k = P(Poi <= k-1)
         c_k = float(suffix[k]) / total
         h_k = float(prefix[k - 1]) / total
-        complements.append(c_k)
         if c_k <= 0.5:
             log_factors.append(math.log1p(-c_k))
         else:
             log_factors.append(math.log(h_k))
-        # R_k = dropped complement mass; exact by the identity sum c_k = tau
-        r_k = tau - math.fsum(complements)
-        bound = max(0.0, r_k) / h_k if h_k > 0.0 else math.inf
+        bound = float(dropped[k - 1]) / h_k if h_k > 0.0 else math.inf
         if bound <= tol:
             break
+        if k >= max_terms:
+            raise NonConvergenceError(
+                f"spherical H truncation did not reach tol={tol} within "
+                f"{max_terms} factors at x={x}",
+                achieved=bound,
+            )
 
     log_value = math.fsum(log_factors)
     return CdfValue(math.exp(log_value), log_value, bound)
@@ -227,10 +256,20 @@ def _spherical_h_log_vec(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     tau = tau_all
     tau_max = float(np.max(tau))
     i_max = _poisson_table_span(tau_max)
-
-    # rows: one tau per row; columns: Poisson support 0..i_max
     i = np.arange(i_max + 1, dtype=float)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(i[1:]))))
+    log_pos, bounds_pos = np.empty(tau.shape), np.empty(tau.shape)
+    for start in range(0, len(tau), _H_ROW_BLOCK):
+        rows = slice(start, start + _H_ROW_BLOCK)
+        log_pos[rows], bounds_pos[rows] = _spherical_h_log_rows(tau[rows], i, log_fact, tol)
+    out[pos] = log_pos
+    bounds[pos] = bounds_pos
+    return out, bounds
+
+
+def _spherical_h_log_rows(tau, i, log_fact, tol):
+    """log H and its bound for a block of rows, one tau per row; columns
+    are the Poisson support 0..i_max shared by every block of a call."""
     log_pmf = -tau[:, None] + i[None, :] * np.log(tau)[:, None] - log_fact[None, :]
     w = np.exp(log_pmf - np.max(log_pmf, axis=1, keepdims=True))
     prefix = np.cumsum(w, axis=1)
@@ -241,22 +280,21 @@ def _spherical_h_log_vec(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     # (complement, direct) is the small, relatively-accurate one
     c = suffix[:, 1:] / total[:, None]
     h = prefix[:, :-1] / total[:, None]
-    logs = np.where(c <= 0.5, np.log1p(-np.minimum(c, 1.0)), np.log(np.maximum(h, 1e-320)))
+    with np.errstate(divide="ignore"):
+        logs = np.where(c <= 0.5, np.log1p(-np.minimum(c, 1.0)), np.log(np.maximum(h, 1e-320)))
 
-    # per-row K: first k with (tau - cumsum c)/H_k <= tol
-    residual = tau[:, None] - np.cumsum(c, axis=1)
+    # per-row K: first k with R_k/H_k <= tol
+    residual = _dropped_complement_mass(tau, suffix, total)
     ok = residual <= tol * np.maximum(h, 1e-320)
     k_stop = np.argmax(ok, axis=1)
-    if not np.all(ok[np.arange(len(tau)), k_stop]):
+    rows = np.arange(len(tau))
+    if not np.all(ok[rows, k_stop]):
         raise NonConvergenceError(
-            f"H table span insufficient for tol={tol} (tau_max={tau_max:.3g})"
+            f"H table span insufficient for tol={tol} (tau_max={float(np.max(tau)):.3g})"
         )
     csum = np.cumsum(logs, axis=1)
-    rows = np.arange(len(tau))
-    out[pos] = csum[rows, k_stop]
-    bounds_pos = np.maximum(residual[rows, k_stop], 0.0) / np.maximum(h[rows, k_stop], 1e-320)
-    bounds[pos] = bounds_pos
-    return out, bounds
+    bounds = np.maximum(residual[rows, k_stop], 0.0) / np.maximum(h[rows, k_stop], 1e-320)
+    return csum[rows, k_stop], bounds
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +517,7 @@ def _seed_bracket(law: LimitLaw, q_lo: float, q_hi: float) -> tuple[float, float
                    1 - H(x) <= x^-2 / H_1(x^-2) gives an upper edge.  This
                    keeps tau = x^-2 modest, so bracketing never evaluates
                    the product at astronomically long Poisson spans.
-      ProductLaw:  bisection runs in the Gaussian argument t = sqrt(a)/2
+      ProductLaw:  the search runs in the Gaussian argument t = sqrt(a)/2
                    + 2 log(x)/sqrt(a), where Phi_a(t) <= Phi(t) bounds the
                    lower edge via the Gaussian tail.
 
@@ -552,53 +590,143 @@ def quantile(law: LimitLaw, q: float, tol: float = 1e-10, max_iter: int = 500) -
     )
 
 
+# nodes of the one cdf tabulation that seeds every level's bracket in
+# ``quantiles``, and its caps on bracket expansion and solver passes
+_QUANTILE_GRID_NODES = 257
+_EXPAND_STEPS = 64
+_SOLVE_STEPS = 200
+
+
 def quantiles(law: LimitLaw, q, tol: float = 1e-10) -> np.ndarray:
-    """Vectorized quantile via bracketed bisection on the whole array."""
+    """Vectorized quantile: x with |cdf(x) - q| <= tol for every level.
+
+    Works in the law's natural coordinate u: log x for SphericalH, the
+    Gaussian argument t for ProductLaw, x for StandardNormal.  Gumbel
+    inverts in closed form.
+
+      1. The certified ``_seed_bracket`` of [min q, max q] is expanded
+         outward, with doubling steps, until F(lo) < min q and
+         F(hi) >= max q hold for evaluated values.
+      2. The vector cdf is evaluated once on _QUANTILE_GRID_NODES equally
+         spaced nodes of [lo, hi], and a binary search gives each level a
+         cell with F(left) < q <= F(right).  Binary search finds such a
+         cell even where the evaluated cdf is not monotone; a cell whose
+         values still do not bracket q (a NaN value) falls back to the
+         whole [lo, hi].
+      3. The unsolved levels take Illinois steps (regula falsi that halves
+         the value kept at an end retained twice in a row), a bisection
+         step whenever the secant point leaves the open bracket, and the
+         vector cdf is evaluated on those levels only.
+
+    Every cdf value is computed to eval_tol = min(tol/10, 1e-11) and a
+    level is accepted once |F(u) - q| <= tol - eval_tol, so the returned
+    x is within tol of its level.  Raises NonConvergenceError when the
+    bracket cannot be expanded, when a bracket shrinks to adjacent doubles
+    without meeting tol, or after _SOLVE_STEPS passes.
+    """
     q = np.atleast_1d(np.asarray(q, dtype=float))
-    if np.any((q <= 0.0) | (q >= 1.0)):
+    if not np.all((q > 0.0) & (q < 1.0)):
         raise ValueError("all quantile levels must lie strictly in (0, 1)")
     tol = _validate_tol(tol)
     if isinstance(law, Gumbel):
         return -np.log(-np.log(q))
+    if q.size == 0:
+        return np.empty(q.shape)
 
     eval_tol = min(tol * 0.1, 1e-11)
     stop_tol = tol - eval_tol
 
-    in_t_space = isinstance(law, ProductLaw)
+    if isinstance(law, ProductLaw):
+        def fvec(u: np.ndarray) -> np.ndarray:
+            return np.exp(_phi_alpha_log_vec(u, law.alpha, eval_tol)[0])
 
-    def fvec(points: np.ndarray) -> np.ndarray:
-        if in_t_space:
-            log_v, _ = _phi_alpha_log_vec(points, law.alpha, eval_tol)
-            return np.exp(log_v)
-        return cdf_values(law, points, eval_tol)
+        def to_x(u: np.ndarray) -> np.ndarray:
+            return _product_arg_to_x(law, u)
+    elif isinstance(law, SphericalH):
+        def fvec(u: np.ndarray) -> np.ndarray:
+            return cdf_values(law, np.exp(u), eval_tol)
 
-    lo0, hi0, positive = _seed_bracket(law, float(np.min(q)), float(np.max(q)))
-    lo = np.full(q.shape, lo0)
-    hi = np.full(q.shape, hi0)
-    for _ in range(80):
-        need = fvec(lo) > q
-        if not np.any(need):
-            break
-        lo[need] = lo[need] / 2.0 if positive else lo[need] - 4.0
-    for _ in range(80):
-        need = fvec(hi) < q
-        if not np.any(need):
-            break
-        hi[need] = hi[need] * 2.0 if positive else hi[need] + 4.0
+        to_x = np.exp
+    else:
+        def fvec(u: np.ndarray) -> np.ndarray:
+            return cdf_values(law, u, eval_tol)
 
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        v = fvec(x)
-        done = np.abs(v - q) <= stop_tol
-        if np.all(done):
+        def to_x(u: np.ndarray) -> np.ndarray:
+            return u
+
+    levels = q.ravel()
+    q_min, q_max = float(np.min(levels)), float(np.max(levels))
+
+    # 1. expand the certified seed bracket until evaluated values bracket
+    lo, hi, positive = _seed_bracket(law, q_min, q_max)
+    ends = np.log([lo, hi]) if positive else np.array([lo, hi])
+    steps = np.full(2, math.log(2.0) if positive else 4.0)
+    f_ends = fvec(ends)
+    for _ in range(_EXPAND_STEPS):
+        short = np.array([f_ends[0] >= q_min, f_ends[1] < q_max])
+        if not np.any(short):
             break
-        below = v < q
-        lo = np.where(below, x, lo)
-        hi = np.where(below, hi, x)
-        x = np.where(done, x, 0.5 * (lo + hi))
-        if np.all((hi - lo) <= np.abs(x) * 1e-17 + 1e-300):
+        ends[short] += np.array([-1.0, 1.0])[short] * steps[short]
+        steps[short] *= 2.0
+        f_ends[short] = fvec(ends[short])
+    else:
+        raise NonConvergenceError(
+            f"could not bracket quantile levels [{q_min}, {q_max}] "
+            f"in {_EXPAND_STEPS} expansion steps"
+        )
+
+    # 2. one tabulation of F gives each level its bracketing cell
+    nodes = np.linspace(ends[0], ends[1], _QUANTILE_GRID_NODES)
+    f_nodes = np.concatenate(([f_ends[0]], fvec(nodes[1:-1]), [f_ends[1]]))
+    right = np.clip(np.searchsorted(f_nodes, levels), 1, _QUANTILE_GRID_NODES - 1)
+    left = right - 1
+    unbracketed = ~((f_nodes[left] < levels) & (f_nodes[right] >= levels))
+    left[unbracketed] = 0
+    right[unbracketed] = _QUANTILE_GRID_NODES - 1
+
+    u_out = np.empty(levels.shape)
+    a, b = nodes[left], nodes[right]
+    fa, fb = f_nodes[left] - levels, f_nodes[right] - levels
+    at_b = np.abs(fb) <= stop_tol
+    at_a = ~at_b & (np.abs(fa) <= stop_tol)
+    u_out[at_b] = b[at_b]
+    u_out[at_a] = a[at_a]
+
+    # 3. Illinois steps on the unsolved levels only; fa < 0 <= fb throughout
+    active = np.flatnonzero(~(at_a | at_b))
+    a, b, fa, fb, lev = a[active], b[active], fa[active], fb[active], levels[active]
+    moved = np.zeros(active.shape, dtype=np.int8)  # end replaced last: -1 a, +1 b
+    for _ in range(_SOLVE_STEPS):
+        if active.size == 0:
             break
-    return _product_arg_to_x(law, x) if in_t_space else x
+        with np.errstate(invalid="ignore", over="ignore"):
+            u = b - fb * (b - a) / (fb - fa)
+        u = np.where((u > a) & (u < b), u, 0.5 * (a + b))
+        stuck = ~((u > a) & (u < b))
+        if np.any(stuck):
+            raise NonConvergenceError(
+                f"quantile bracket for q={lev[stuck][0]} shrank to adjacent "
+                f"doubles without reaching tol={tol}"
+            )
+        fu = fvec(u) - lev
+        done = np.abs(fu) <= stop_tol
+        u_out[active[done]] = u[done]
+        below = fu < 0.0
+        fb = np.where(below & (moved == -1), 0.5 * fb, fb)
+        fa = np.where(~below & (moved == 1), 0.5 * fa, fa)
+        a, fa = np.where(below, u, a), np.where(below, fu, fa)
+        b, fb = np.where(below, b, u), np.where(below, fb, fu)
+        moved = np.where(below, -1, 1).astype(np.int8)
+        keep = ~done
+        active, a, b, fa, fb, lev, moved = (
+            v[keep] for v in (active, a, b, fa, fb, lev, moved)
+        )
+    if active.size:
+        raise NonConvergenceError(
+            f"quantile solver left {active.size} levels above tol={tol} "
+            f"after {_SOLVE_STEPS} steps"
+        )
+    return to_x(u_out).reshape(q.shape)
 
 
 def _uniform_source(rng):

@@ -40,6 +40,13 @@ class TestCmdCdf:
         assert tail == "0.01"
         assert 0.98 <= float(value) <= 1.0
 
+    def test_spherical_small_x_returns(self, capsys):
+        # tau = x^-2 = 400 used to stall the scalar truncation loop
+        code, out, err = run_cli(capsys, "cdf", "--law", "spherical-h", "--grid", "0.05:0.05:1")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines() == ["x,cdf", "0.05,0"]
+
     def test_product_alpha_passthrough(self, capsys):
         code, out, _ = run_cli(
             capsys, "cdf", "--law", "product-alpha", "--alpha", "1", "--grid", "1:1:1"

@@ -55,6 +55,42 @@ class TestClosedForms:
         assert product_exact_cdf_k2(1, 1.0) < product_exact_cdf_k2(1, 2.0)
 
 
+class TestProductK1ExtremeRadii:
+    """Radii whose Poisson tables would not fit: the Chernoff bound
+    certifies every factor as 1, as spherical_exact_cdf returns 1."""
+
+    @pytest.mark.parametrize("r", [1e150, math.inf])
+    def test_scalar_is_one(self, r):
+        assert product_exact_cdf_k1(10, r) == 1.0
+        assert spherical_exact_cdf(10, r) == 1.0
+
+    @pytest.mark.parametrize("r", [1e150, math.inf])
+    def test_vector_paths_are_one(self, r):
+        spec = GinibreProduct(10, 1)
+        assert exact_log_cdf(spec, [r, 2.0])[0] == 0.0
+        assert exact_cdf_fn(spec)([r, 2.0])[0] == 1.0
+
+    @pytest.mark.parametrize("r", [1e160, math.inf])
+    def test_spherical_vector_path_is_one(self, r):
+        # r^2 overflowed to inf and the log-cdf came out NaN
+        spec = Spherical(10)
+        assert abs(exact_log_cdf(spec, [r])[0]) <= 1e-298
+        assert exact_cdf_fn(spec)([r])[0] == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 3000])
+    def test_certified_points_agree_with_kernel(self, n):
+        # across the certification edge the pmf kernel itself returns log 0
+        # to within the 1e-320 floor
+        r = np.sqrt(n) * np.linspace(1.0, 3.0, 400) + np.linspace(0.0, 30.0, 400)
+        y = r**2
+        got = exact_log_cdf(GinibreProduct(n, 1), r)
+        kernel = exact_cdf._product_k1_kernel(n, y, 2.0 * np.log(r))
+        certified = got == 0.0
+        assert np.any(certified) and not np.all(certified)
+        assert np.all(np.abs(kernel[certified]) <= 1e-300)
+        np.testing.assert_allclose(got[~certified], kernel[~certified], rtol=1e-14, atol=0)
+
+
 FROZEN_SPHERICAL = [
     (5, 1.3, 0.025646660751572721),
     (20, 4.0, 0.17132852374849737),

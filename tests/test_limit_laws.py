@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specrad import limit_laws
 from specrad.errors import NonConvergenceError
 from specrad.limit_laws import (
     GUMBEL,
@@ -81,6 +82,21 @@ class TestSphericalH:
         with pytest.raises(NonConvergenceError) as exc:
             spherical_h_cdf(0.05, tol=1e-12, max_terms=10)
         assert exc.value.achieved > 1e-12
+
+    @pytest.mark.parametrize("x", [0.05, 0.04])
+    def test_small_x_matches_vector_path(self, x):
+        # tau = x^-2 of 400 and 625: the dropped mass is a suffix sum, so the
+        # truncation test no longer stalls on a cancelled tau - sum c_k
+        cv = spherical_h_cdf(x, tol=1e-12)
+        log_vec, bound_vec = limit_laws._spherical_h_log_vec(np.array([x]), 1e-12)
+        assert cv.log_value < -1e4
+        assert cv.log_value == pytest.approx(log_vec[0], rel=1e-12, abs=0)
+        assert cv.truncation_bound <= 1e-12 and bound_vec[0] <= 1e-12
+
+    def test_below_double_range_is_zero_on_both_paths(self):
+        # tau = 2500 > 745: H(x) <= e^-tau is 0 in double precision
+        assert spherical_h_cdf(0.02).value == 0.0
+        assert cdf_values(SPHERICAL_H, [0.02], tol=1e-12)[0] == 0.0
 
 
 class TestGumbel:
@@ -211,6 +227,107 @@ class TestQuantile:
         xs = quantiles(SPHERICAL_H, qs)
         back = cdf_values(SPHERICAL_H, xs)
         assert np.max(np.abs(back - qs)) <= 1e-9
+
+
+LEVELS = (np.arange(5000) + 0.25 + 0.5 * np.random.default_rng(3).random(5000)) / 5000
+
+VECTOR_LAWS = [SPHERICAL_H, ProductLaw(alpha=0.01), ProductLaw(alpha=1.0), STANDARD_NORMAL]
+
+
+def _round_trip_error(law, q, x):
+    return np.max(np.abs(cdf_values(law, x, tol=1e-12) - q))
+
+
+class TestVectorQuantiles:
+    @pytest.mark.parametrize(
+        "law", VECTOR_LAWS + [ProductLaw(alpha=1e-3), ProductLaw(alpha=100.0)], ids=repr
+    )
+    def test_round_trip_within_tol(self, law):
+        # the solver certifies |F - q| <= tol at eval_tol; the check's own
+        # evaluation adds at most its 1e-12 truncation
+        q = LEVELS[::3]
+        assert _round_trip_error(law, q, quantiles(law, q, tol=1e-10)) <= 1e-10 + 1e-12
+
+    @pytest.mark.parametrize("law", VECTOR_LAWS, ids=repr)
+    def test_clip_levels_round_trip(self, law):
+        # sample_limit_batch clips its uniforms to [1e-16, 1 - 1e-16]
+        q = np.array([1e-16, 1.0 - 1e-16])
+        x = quantiles(law, q)
+        assert np.all(np.isfinite(x))
+        assert _round_trip_error(law, q, x) <= 1e-10 + 1e-12
+
+    def test_deep_spherical_level(self):
+        # the lower bracket edge sits at tau ~ 480, where the old truncation
+        # test raised "H table span insufficient"
+        x = quantiles(SPHERICAL_H, [1e-200])
+        assert x[0] > 0.0
+        assert _round_trip_error(SPHERICAL_H, np.array([1e-200]), x) <= 1e-10 + 1e-12
+
+    @pytest.mark.parametrize("law", VECTOR_LAWS, ids=repr)
+    def test_unsorted_duplicated_and_single_levels(self, law):
+        q = np.array([0.9, 0.1, 0.5, 0.1, 0.999, 0.5, 1e-3])
+        x = quantiles(law, q)
+        order = np.argsort(q, kind="stable")
+        np.testing.assert_array_equal(quantiles(law, q[order]), x[order])
+        assert x[1] == x[3] and x[2] == x[5]
+        assert np.all(np.diff(x[order]) >= 0.0)
+        single = quantiles(law, 0.3)
+        assert single.shape == (1,)
+        assert _round_trip_error(law, np.array([0.3]), single) <= 1e-10 + 1e-12
+
+    def test_shape_is_kept(self):
+        q = LEVELS[:12].reshape(3, 4)
+        assert quantiles(ProductLaw(alpha=1.0), q).shape == (3, 4)
+
+    @pytest.mark.parametrize("law", VECTOR_LAWS, ids=repr)
+    def test_vector_cdf_evaluation_count(self, law, monkeypatch):
+        # one tabulation plus a few steps on a shrinking set; whole-array
+        # bisection takes about 40 calls
+        calls = []
+        for name in ("cdf_values", "_phi_alpha_log_vec"):
+            inner = getattr(limit_laws, name)
+
+            def counted(*args, _inner=inner, **kwargs):
+                calls.append(1)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(limit_laws, name, counted)
+        quantiles(law, LEVELS)
+        assert 3 <= len(calls) <= 12
+
+    def test_nonmonotone_cdf_still_brackets(self, monkeypatch):
+        # a dip makes F non-monotone over two grid cells; the brackets come
+        # from evaluated values, so every level still meets tol against F
+        def dipped(law, x, tol=1e-10):
+            x = np.asarray(x, dtype=float)
+            return 0.5 * np.vectorize(math.erfc)(-x / math.sqrt(2.0)) - 0.05 * np.exp(
+                -(((x - 0.5) / 0.05) ** 2)
+            )
+
+        monkeypatch.setattr(limit_laws, "cdf_values", dipped)
+        q = np.linspace(0.55, 0.75, 81)
+        x = quantiles(STANDARD_NORMAL, q)
+        assert np.max(np.abs(dipped(None, x) - q)) <= 1e-10
+
+    def test_unreachable_level_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            limit_laws, "cdf_values", lambda law, x, tol=1e-10: np.full(np.shape(x), 0.25)
+        )
+        with pytest.raises(NonConvergenceError):
+            quantiles(STANDARD_NORMAL, [0.5])
+
+    def test_jump_over_level_raises(self, monkeypatch):
+        # F jumps from 0 to 1 at 0.1, so no x meets q = 0.5 within tol
+        monkeypatch.setattr(
+            limit_laws, "cdf_values", lambda law, x, tol=1e-10: (np.asarray(x) >= 0.1) * 1.0
+        )
+        with pytest.raises(NonConvergenceError):
+            quantiles(STANDARD_NORMAL, [0.2, 0.5])
+
+    def test_rejects_bad_levels(self):
+        for bad in ([0.0], [1.0], [0.5, math.nan]):
+            with pytest.raises(ValueError):
+                quantiles(SPHERICAL_H, bad)
 
 
 class TestMonotonicityAndLimits:
