@@ -12,18 +12,32 @@ and every factor is a tail probability of a classical discrete law:
 So one scaled pmf table per evaluation point yields every factor at once:
 prefix sums give the factor complements (relatively accurate when the
 factor is near 1), suffix sums give the factors themselves (relatively
-accurate when tiny), and the log-product is the sum of per-factor logs,
-with early exit to 0 once it falls below log(1e-320).  For product k=1 a
-Chernoff bound on the Poisson lower tail also certifies, with no table,
-the radii at which every factor is 1 and the log-product is 0.  This is
-cancellation-free and O(support) per point, where per-point support is
-windowed to mean +/- 45 sd once sizes are large.
+accurate when tiny), and the log-product is the sum of per-factor logs.
+The logs are accurate down to log(1e-320); a cdf below that floor may come
+out as -inf or as any log below the floor, and the probability is 0.
+
+Each point's table covers only its own window, mean +/- 45 sd (the cut
+mass is below 1e-440), or the whole support at small sizes.  A table is
+built from the step ratios pmf(i)/pmf(i-1), summed outward from the
+point's mean, so its error does not grow with n.  Points are sorted by
+their mean and cut into blocks whose rows x union-width stays within
+_BLOCK_CELLS cells (one row when a window alone is wider), so working
+memory follows that budget and not how far apart the points lie.
+
+For product k=1 two Chernoff bounds skip the table.  Above the mean,
+n P(Poisson(y) <= n-1) <= n e^-y (e y/(n-1))^(n-1) below the floor
+certifies that every factor is 1 (log 0).  Below it,
+P(Poisson(y) >= n) <= e^-y (e y/n)^n below the floor bounds the last
+factor and so the product (-inf).
 
 The k=2 product ensemble has no single-pmf structure; its factor
 P(s1 s2 <= t) = integral of P(j, t/s) against the Gamma(j) density is
 computed by Gauss-Legendre quadrature in u = log s (the integrand is
 log-concave in u), after peeling off the exactly-known piece below
-s_a = t/y_eps where P(j, t/s) = 1 to double precision.
+s_a = t/y_eps where P(j, t/s) = 1 to double precision.  The complement
+P(s1 s2 > t) is the same integral of Q(j, t/s), and a factor whose
+complement is below 1/2 is log1p(-complement), so an upper tail is not
+lost to cancellation in 1 - P.
 """
 
 from __future__ import annotations
@@ -49,11 +63,16 @@ __all__ = [
 ]
 
 _LOG_ZERO_CUT = math.log(1e-320)
+_LOG_TINY = math.log(np.finfo(float).tiny)
 # pmf support window half-width in standard deviations; the cut mass is
-# below exp(-45^2/2) ~ 1e-440, beyond the 1e-320 early-exit floor
+# below exp(-45^2/2) ~ 1e-440, beyond the 1e-320 floor
 _WINDOW_SD = 45.0
 _WINDOW_PAD = 100
 _FULL_SUPPORT_LIMIT = 4096
+# cells (rows x columns) of one pmf block: at 2^16 cells the temporaries
+# of _factor_log_sum stay in cache, and peak memory no longer follows how
+# far apart a call's points lie
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -81,52 +100,126 @@ def _factor_log_sum(log_pmf: np.ndarray, i0: int, j_max: int) -> np.ndarray:
     """Sum of log tail-factors sum_{j=1}^{j_max} log P(X >= j) per row.
 
     ``log_pmf`` holds log pmf values on consecutive integers i0..i0+cols-1
-    (one row per evaluation point); mass outside the window must be below
-    the 1e-320 floor.  Factors with j beyond the window's right edge make
-    the row -inf (the product is then 0 to double precision); factors left
-    of the window contribute log 1 = 0.
+    (one row per evaluation point), up to a per-row constant; mass outside
+    the window must be below the 1e-320 floor.  Factors with j beyond the
+    window's right edge make the row -inf (the product is then 0 to double
+    precision); factors left of the window contribute log 1 = 0.  The
+    array is overwritten with the pmf scaled to its row maximum.
     """
-    w = np.exp(log_pmf - np.max(log_pmf, axis=1, keepdims=True))
+    rows, cols = log_pmf.shape
+    if j_max > i0 + cols - 1:
+        return np.full(rows, -np.inf)
+    # columns c correspond to j = i0 + c; usable j range within the window
+    c_lo = max(1 - i0, 0)
+    c_hi = min(j_max - i0, cols - 1)
+    if c_hi < c_lo:
+        return np.zeros(rows)
+
+    w = log_pmf
+    w -= np.max(w, axis=1, keepdims=True)
+    np.exp(w, out=w)
     prefix = np.cumsum(w, axis=1)
     suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
     total = prefix[:, -1:]
 
-    # columns c correspond to j = i0 + c; usable j range within the window
-    cols = w.shape[1]
-    c_lo = max(1 - i0, 0)
-    c_hi = min(j_max - i0, cols - 1)
-
-    out = np.zeros(w.shape[0])
-    if j_max > i0 + cols - 1:
-        return np.full(w.shape[0], -np.inf)
-    if c_hi < c_lo:
-        return out
-
     suf = suffix[:, c_lo : c_hi + 1]
-    pre = prefix[:, c_lo - 1 : c_hi] if c_lo >= 1 else None
-    if pre is None:
+    if c_lo >= 1:
+        pre = prefix[:, c_lo - 1 : c_hi]
+    else:
         # window starts at the support origin; complements there are 0
-        pre = np.concatenate([np.zeros((w.shape[0], 1)), prefix[:, :c_hi]], axis=1)
+        pre = np.concatenate([np.zeros((rows, 1)), prefix[:, :c_hi]], axis=1)
     with np.errstate(divide="ignore"):
-        small_direct = np.log(np.maximum(suf, 1e-320)) - np.log(total)
-        near_one = np.log1p(-np.minimum(pre / total, 1.0))
-    logs = np.where(suf <= pre, small_direct, near_one)
-    out = np.sum(logs, axis=1)
+        # each log factor from the smaller of P(X >= j) and P(X < j)
+        logs = np.log1p(-np.minimum(pre / total, 1.0))
+        small = suf <= pre
+        direct = np.log(np.maximum(suf, 1e-320))
+        direct -= np.log(total)
+    np.copyto(logs, direct, where=small)
+    return np.sum(logs, axis=1)
+
+
+def _windows(center: np.ndarray, sd: np.ndarray, hi_cap: int | None = None):
+    """Per-point pmf windows [lo, hi]: mean +/- 45 sd plus a pad, in [0, hi_cap]."""
+    lo = np.maximum(np.floor(center - _WINDOW_SD * sd).astype(np.int64) - _WINDOW_PAD, 0)
+    hi = np.ceil(center + _WINDOW_SD * sd).astype(np.int64) + _WINDOW_PAD
+    if hi_cap is not None:
+        hi = np.minimum(hi, hi_cap)
+    return lo, np.maximum(hi, lo)
+
+
+def _plan_blocks(lo: np.ndarray, hi: np.ndarray):
+    """Split points, sorted by pmf mean, into consecutive blocks.
+
+    Yields (start, stop, i0, i1): rows start..stop-1 share the union window
+    [i0, i1].  A block holds at least one row, and a block of more than one
+    row has rows * (i1 - i0 + 1) <= _BLOCK_CELLS.
+    """
+    count = lo.size
+    start = 0
+    while start < count:
+        # the union is at least as wide as the first window, which caps
+        # the rows worth looking at
+        look = min(count - start, max(1, _BLOCK_CELLS // int(hi[start] - lo[start] + 1)))
+        i0 = np.minimum.accumulate(lo[start : start + look])
+        i1 = np.maximum.accumulate(hi[start : start + look])
+        cells = (i1 - i0 + 1) * np.arange(1, look + 1)
+        rows = max(1, int(np.searchsorted(cells, _BLOCK_CELLS, side="right")))
+        yield start, start + rows, int(i0[rows - 1]), int(i1[rows - 1])
+        start += rows
+
+
+def _log_pmf_blocks(lo, hi, centre, row_step, col_step):
+    """Yield (rows, i0, log_pmf) for cache-sized blocks of points.
+
+    ``log_pmf[r, c]`` is log pmf(i0 + c) - log pmf(a) of point ``rows[r]``,
+    a = round(centre) clipped to the block: cumulative sums of the step
+    ratios log pmf(i)/pmf(i-1) = row_step[point] + col_step(i), outward in
+    both directions from a.  With ``centre`` the pmf mean, the partial sums
+    stay small where the mass is, no table of size n and magnitude n log n
+    enters the values, and a row's values do not depend on the other rows
+    of its block.  ``col_step`` maps an array of integers i to its column
+    term; it is tabulated once over the union of all windows.
+    """
+    if lo.size == 0:
+        return
+    base = int(np.min(lo))
+    table = col_step(np.arange(base + 1, int(np.max(hi)) + 1, dtype=float))
+    anchor = np.rint(centre)
+    order = np.argsort(centre, kind="stable")
+    for start, stop, i0, i1 in _plan_blocks(lo[order], hi[order]):
+        rows = order[start:stop]
+        # steps[:, k] = log pmf(i0 + k + 1) - log pmf(i0 + k)
+        log_pmf = _sums_outward(
+            row_step[rows, None] + table[i0 - base : i1 - base],
+            np.clip(anchor[rows] - i0, 0, i1 - i0),
+        )
+        yield rows, i0, log_pmf
+
+
+def _sums_outward(steps: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Per row, the partial sums of ``steps`` outward from column a[row]:
+    out[:, c] = sum of steps[:, a:c] right of a, minus that of
+    steps[:, c:a] left of it, so out[:, a] = 0.  Each side sums only over
+    the columns some row needs."""
+    a = a.astype(np.int64)[:, None]
+    a_lo, a_hi = int(a.min()), int(a.max())
+    k = np.arange(steps.shape[1])
+    out = np.empty((steps.shape[0], steps.shape[1] + 1))
+    out[:, : a_lo + 1] = 0.0
+    right = np.where(k[a_lo:] >= a, steps[:, a_lo:], 0.0)
+    np.cumsum(right, axis=1, out=out[:, a_lo + 1 :])
+    del right
+    left = np.where(k[:a_hi] < a, steps[:, :a_hi], 0.0)
+    out[:, :a_hi] -= np.cumsum(left[:, ::-1], axis=1)[:, ::-1]
     return out
 
 
-def _window(center: float, sd: float, lo_cap: int, hi_cap: int | None) -> tuple[int, int]:
-    lo = int(math.floor(center - _WINDOW_SD * sd)) - _WINDOW_PAD
-    hi = int(math.ceil(center + _WINDOW_SD * sd)) + _WINDOW_PAD
-    lo = max(lo, lo_cap)
-    if hi_cap is not None:
-        hi = min(hi, hi_cap)
-    return lo, max(hi, lo)
-
-
-def _chunked(values: np.ndarray, chunk: int = 64):
-    for start in range(0, len(values), chunk):
-        yield start, values[start : start + chunk]
+def _windowed_log_sums(lo, hi, centre, row_step, col_step, j_max: int) -> np.ndarray:
+    """_factor_log_sum for every point, from its own pmf window [lo, hi]."""
+    res = np.empty(lo.shape)
+    for rows, i0, log_pmf in _log_pmf_blocks(lo, hi, centre, row_step, col_step):
+        res[rows] = _factor_log_sum(log_pmf, i0, j_max)
+    return res
 
 
 def _spherical_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
@@ -140,40 +233,17 @@ def _spherical_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
     rp = np.minimum(r[pos], 1e150)
     log_u = 2.0 * np.log(rp) - np.log1p(rp**2)
     log_1mu = -np.log1p(rp**2)
-
-    # log C(n, i) from the ratio recurrence, once per call
-    i = np.arange(1, n + 1, dtype=float)
-    log_comb = np.concatenate(([0.0], np.cumsum(np.log((n - i + 1.0) / i))))
-
-    res = np.empty(rp.shape)
-    for start, lu in _chunked(log_u):
-        l1 = log_1mu[start : start + len(lu)]
-        # window from the chunk's extreme means (grids are sorted in practice,
-        # so the union stays narrow)
-        u_vals = np.exp(lu)
-        mu_lo = n * float(np.min(u_vals))
-        mu_hi = n * float(np.max(u_vals))
-        sd = math.sqrt(max(mu_hi * (1.0 - mu_hi / n if mu_hi < n else 1.0), 1.0))
-        if n <= _FULL_SUPPORT_LIMIT:
-            i0, i1 = 0, n
-        else:
-            i0, _ = _window(mu_lo, sd, 0, n)
-            _, i1 = _window(mu_hi, sd, 0, n)
-        idx = np.arange(i0, i1 + 1, dtype=float)
-        log_pmf = (
-            log_comb[i0 : i1 + 1][None, :]
-            + idx[None, :] * lu[:, None]
-            + (n - idx)[None, :] * l1[:, None]
-        )
-        res[start : start + len(lu)] = _factor_log_sum(log_pmf, i0, n)
-    out[pos] = res
+    mu = n * np.exp(log_u)
+    if n <= _FULL_SUPPORT_LIMIT:
+        lo = np.zeros(rp.shape, dtype=np.int64)
+        hi = np.full(rp.shape, n, dtype=np.int64)
+    else:
+        lo, hi = _windows(mu, np.sqrt(np.maximum(mu * (1.0 - mu / n), 1.0)), n)
+    # pmf(i)/pmf(i-1) = (n-i+1)/i * u/(1-u)
+    out[pos] = _windowed_log_sums(
+        lo, hi, mu, log_u - log_1mu, lambda i: np.log((n - i + 1.0) / i), n
+    )
     return out
-
-
-def _nb_log_comb(m: int, i1: int) -> np.ndarray:
-    """log C(i+m-1, i) for i = 0..i1 via cumulative ratios log((i+m-1)/i)."""
-    ii = np.arange(1, i1 + 1, dtype=float)
-    return np.concatenate(([0.0], np.cumsum(np.log((ii + m - 1.0) / ii))))
 
 
 def _truncated_log_cdf_vec(n: int, p: int, r: np.ndarray) -> np.ndarray:
@@ -199,45 +269,34 @@ def _truncated_log_cdf_vec(n: int, p: int, r: np.ndarray) -> np.ndarray:
     mean = m * x / (1.0 - x)
     sd = np.sqrt(m * x) / (1.0 - x)
 
+    # pmf(i)/pmf(i-1) = (i+m-1)/i * x
+    def col_step(i):
+        return np.log((i + m - 1.0) / i)
+
     # all factors j <= p sit in the left tail of the pmf there, so the
-    # normalized prefix on [0, p] is enough (total mass is analytically 1)
+    # prefix on [0, p-1] is enough, anchored at pmf(0) = (1-x)^m (total
+    # mass is analytically 1)
     deep = mean - _WINDOW_SD * sd - _WINDOW_PAD > p
     wide = (1 + _WINDOW_SD) * sd > 2_000_000.0
     res = np.empty(rp.shape)
 
-    if np.any(deep):
-        log_comb = _nb_log_comb(m, p)
-        idx = np.arange(0, p + 1, dtype=float)
-        for start, lx in _chunked(log_x[deep]):
-            l1 = log_1mx[deep][start : start + len(lx)]
-            log_pmf = (
-                log_comb[None, :] + idx[None, :] * lx[:, None] + m * l1[:, None]
-            )
+    sel = np.flatnonzero(deep)
+    if sel.size:
+        zeros = np.zeros(sel.shape, dtype=np.int64)
+        blocks = _log_pmf_blocks(zeros, zeros + (p - 1), zeros, log_x[sel], col_step)
+        for rows, _, log_pmf in blocks:
+            log_pmf += m * log_1mx[sel[rows], None]
             with np.errstate(under="ignore"):
-                prefix = np.cumsum(np.exp(log_pmf), axis=1)
+                prefix = np.cumsum(np.exp(log_pmf, out=log_pmf), axis=1)
             # log factor_j = log1p(-P(X < j)), complements taken literally
-            res_block = np.sum(np.log1p(-np.minimum(prefix[:, :-1], 1.0)), axis=1)
-            sel = np.flatnonzero(deep)[start : start + len(lx)]
-            res[sel] = res_block
+            res[sel[rows]] = np.sum(np.log1p(-np.minimum(prefix, 1.0)), axis=1)
 
-    bulk = ~deep & ~wide
-    if np.any(bulk):
-        sel_all = np.flatnonzero(bulk)
-        for start, lx in _chunked(log_x[bulk]):
-            sel = sel_all[start : start + len(lx)]
-            l1 = log_1mx[sel]
-            i0 = int(np.min(np.floor(mean[sel] - _WINDOW_SD * sd[sel]))) - _WINDOW_PAD
-            i0 = max(i0, 0)
-            i1 = int(np.max(np.ceil(mean[sel] + _WINDOW_SD * sd[sel]))) + _WINDOW_PAD
-            i1 = max(i1, p + _WINDOW_PAD)
-            log_comb_all = _nb_log_comb(m, i1)
-            idx = np.arange(i0, i1 + 1, dtype=float)
-            log_pmf = (
-                log_comb_all[i0 : i1 + 1][None, :]
-                + idx[None, :] * lx[:, None]
-                + m * l1[:, None]
-            )
-            res[sel] = _factor_log_sum(log_pmf, i0, p)
+    sel = np.flatnonzero(~deep & ~wide)
+    if sel.size:
+        lo, hi = _windows(mean[sel], sd[sel])
+        res[sel] = _windowed_log_sums(
+            lo, np.maximum(hi, p + _WINDOW_PAD), mean[sel], log_x[sel], col_step, p
+        )
 
     slow = ~deep & wide
     for idx_s in np.flatnonzero(slow):
@@ -277,8 +336,13 @@ def _product_k1_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
     k = n - 1
     chernoff = -y + (k * (1.0 + log_y - math.log(k)) if k > 0 else 0.0) + math.log(n)
     sure = (y > k) & (chernoff < _LOG_ZERO_CUT)
+    # the lower twin: every factor is at most P(Poisson(y) >= n) <=
+    # e^-y (e y/n)^n for y < n; below the floor the product is 0
+    lower = -y + n * (1.0 + log_y - math.log(n))
+    null = (y < n) & (lower < _LOG_ZERO_CUT)
     res = np.zeros(rp.shape)
-    rest = ~sure
+    res[null] = -np.inf
+    rest = ~sure & ~null
     res[rest] = _product_k1_kernel(n, y[rest], log_y[rest])
     out[pos] = res
     return out
@@ -286,27 +350,13 @@ def _product_k1_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
 
 def _product_k1_kernel(n: int, y: np.ndarray, log_y: np.ndarray) -> np.ndarray:
     """The same log-product from windowed Poisson(y) pmf tables, y = r^2 > 0."""
-    res = np.empty(y.shape)
-    for start, ys in _chunked(y):
-        ly = log_y[start : start + len(ys)]
-        y_hi = float(np.max(ys))
-        y_lo = float(np.min(ys))
-        sd = math.sqrt(max(y_hi, 1.0))
-        if y_hi + _WINDOW_SD * sd + _WINDOW_PAD < _FULL_SUPPORT_LIMIT and n <= _FULL_SUPPORT_LIMIT:
-            i0, i1 = 0, max(n, int(y_hi + _WINDOW_SD * sd) + _WINDOW_PAD)
-        else:
-            i0, _ = _window(y_lo, sd, 0, None)
-            _, i1 = _window(y_hi, sd, 0, None)
-            i1 = max(i1, n + _WINDOW_PAD)
-        idx = np.arange(i0, i1 + 1, dtype=float)
-        log_fact = np.concatenate(
-            ([0.0], np.cumsum(np.log(np.arange(1, i1 + 1, dtype=float))))
-        )
-        log_pmf = (
-            -ys[:, None] + idx[None, :] * ly[:, None] - log_fact[i0 : i1 + 1][None, :]
-        )
-        res[start : start + len(ys)] = _factor_log_sum(log_pmf, i0, n)
-    return res
+    sd = np.sqrt(np.maximum(y, 1.0))
+    lo, hi = _windows(y, sd)
+    full = (y + _WINDOW_SD * sd + _WINDOW_PAD < _FULL_SUPPORT_LIMIT) & (n <= _FULL_SUPPORT_LIMIT)
+    lo[full] = 0
+    hi = np.maximum(hi, np.where(full, n, n + _WINDOW_PAD))
+    # pmf(i)/pmf(i-1) = y/i
+    return _windowed_log_sums(lo, hi, y, log_y, lambda i: -np.log(i), n)
 
 
 def _as_prob(log_v: float) -> float:
@@ -374,33 +424,54 @@ def _gl_nodes(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[m]
 
 
-def _reg_lower_gamma_int(j: int, y: np.ndarray) -> np.ndarray:
-    """P(j, y) elementwise for integer shape j >= 1, accurate down to the
-    deep left tail (the 1 - sum(Poisson) complement cancels to 0 there)."""
-    out = np.empty(y.shape)
+def _reg_gamma_int(j: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(j, y), Q(j, y)) elementwise for integer shape j >= 1.
+
+    Below y = j + 1 the series of P is summed and Q = 1 - P; above it the
+    finite Poisson sum Q = e^-y sum_{i<j} y^i/i! is summed from its largest
+    term i = j-1 down, in logs, and P = 1 - Q.  Each deep tail is thus
+    relatively accurate: the lower one of P and the upper one of Q.
+    """
+    p = np.empty(y.shape)
+    q = np.empty(y.shape)
     small = y < j + 1.0
 
+    # both sums fall term by term, slowest at the y nearest j + 1, so that
+    # y alone fixes how many terms it takes to fall below 1e-18
     ys = y[small]
     acc = np.ones(ys.shape)
     term = np.ones(ys.shape)
+    y_max = float(np.max(ys, initial=0.0))
+    bound = 1.0
     for i in range(1, 1000):
-        term = term * ys / (j + i)
+        term *= ys
+        term /= j + i
         acc += term
-        if not np.any(term > 1e-18 * acc):
+        bound *= y_max / (j + i)
+        if bound <= 1e-18:
             break
     with np.errstate(divide="ignore"):
-        out[small] = np.exp(
-            j * np.log(ys) - ys - math.lgamma(j + 1) + np.log(acc)
-        )
+        p_small = np.exp(j * np.log(ys) - ys - math.lgamma(j + 1) + np.log(acc))
+    p[small] = p_small
+    q[small] = 1.0 - p_small
 
-    yl = y[~small]
+    large = ~small
+    yl = y[large]
     term = np.ones(yl.shape)
-    total = np.ones(yl.shape)
-    for i in range(1, j):
-        term = term * yl / i
-        total += term
-    out[~small] = np.maximum(1.0 - np.exp(-yl + np.log(total)), 0.0)
-    return out
+    acc = np.ones(yl.shape)
+    y_min = float(np.min(yl, initial=math.inf))
+    bound = 1.0
+    for i in range(j - 1, 0, -1):
+        term *= i
+        term /= yl
+        acc += term
+        bound *= i / y_min
+        if bound <= 1e-18:
+            break
+    log_q = (j - 1) * np.log(yl) - yl - math.lgamma(j) + np.log(acc)
+    q[large] = np.exp(log_q)
+    p[large] = -np.expm1(log_q)
+    return p, q
 
 
 def _k2_log_factors(t: np.ndarray, j: int, m_nodes: int) -> np.ndarray:
@@ -408,7 +479,10 @@ def _k2_log_factors(t: np.ndarray, j: int, m_nodes: int) -> np.ndarray:
 
     Splits at s_a = t_min/y_sure: below it P(j, t/s) is 1 to double
     precision, contributing reg_inc_gamma_lower(j, s_a) exactly; the rest
-    is Gauss-Legendre in u = log s with m_nodes nodes.
+    is Gauss-Legendre in u = log s with m_nodes nodes.  The upper tail
+    P(s1 s2 > t) is the same integral of Q(j, t/s), which vanishes below
+    s_a; where it is below 1/2 the log factor is its log1p, so factors near
+    1 keep their relative accuracy in 1 - factor.
     """
     t = np.asarray(t, dtype=float)
     t_min = float(np.min(t))
@@ -425,13 +499,18 @@ def _k2_log_factors(t: np.ndarray, j: int, m_nodes: int) -> np.ndarray:
     lgj = math.lgamma(j)
     # Gamma(j) log-density in u: j*u - e^u - log Gamma(j)
     log_g = j * u - np.exp(u) - lgj
+    g_weights = np.exp(log_g) * weights * half
 
-    p_vals = _reg_lower_gamma_int(j, t[:, None] * np.exp(-u)[None, :])
-
-    integral = np.sum(p_vals * np.exp(log_g)[None, :] * weights[None, :], axis=1) * half
+    p_vals, q_vals = _reg_gamma_int(j, t[:, None] * np.exp(-u)[None, :])
     closed = reg_inc_gamma_lower(j, s_a) if s_a > 0 else 0.0
+    lower = closed + p_vals @ g_weights
+    upper = q_vals @ g_weights
     with np.errstate(divide="ignore"):
-        return np.log(np.maximum(closed + integral, 0.0))
+        return np.where(
+            upper < 0.5,
+            np.log1p(-np.minimum(upper, 0.5)),
+            np.log(np.maximum(lower, 0.0)),
+        )
 
 
 def _k2_chunk_log_cdf(
@@ -452,8 +531,13 @@ def _k2_chunk_log_cdf(
                     achieved=err,
                 )
             cur = _k2_log_factors(t, j, m)
-            scale = np.maximum(np.abs(cur), 1.0)
-            err = float(np.max(np.abs(cur - prev) / scale))
+            # subnormal factors carry too few digits for a relative test,
+            # and two of them take the product below the 1e-320 floor, so
+            # they compare equal
+            cur_c = np.maximum(cur, _LOG_TINY)
+            prev_c = np.maximum(prev, _LOG_TINY)
+            scale = np.maximum(np.abs(cur_c), 1.0)
+            err = float(np.max(np.abs(cur_c - prev_c) / scale))
             if err <= rel_tol:
                 break
             prev = cur
@@ -478,7 +562,8 @@ def _product_k2_log_cdf_vec(
     t = r[pos] ** 2
     order = np.argsort(t)
     logs = np.empty(t.shape)
-    for start, block in _chunked(t[order]):
+    for start in range(0, t.size, 64):
+        block = t[order[start : start + 64]]
         logs[start : start + block.size] = _k2_chunk_log_cdf(
             n, block, quad_points, rel_tol
         )

@@ -319,3 +319,156 @@ class TestCurveAndDispatch:
         c = product_exact_cdf_k2(5, 2.5, quad_points=128)
         assert a == b
         assert c == pytest.approx(a, rel=2e-8, abs=0)
+
+
+class TestProductK1LowerCertificate:
+    """Radii where P(Poisson(y) >= n) <= e^-y (e y/n)^n is below the 1e-320
+    floor: every factor is at most that, so the product is 0 without a
+    table."""
+
+    @staticmethod
+    def _edge_log_y(n):
+        # the certificate's edge: -y + n (1 + log(y/n)) = log(1e-320), y < n
+        lo, hi = -800.0, math.log(n)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if -math.exp(mid) + n * (1.0 + mid - math.log(n)) < exact_cdf._LOG_ZERO_CUT:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    @pytest.mark.parametrize("n", [1, 2, 40, 3000, 10**5])
+    def test_certified_points_are_below_the_floor_in_the_kernel(self, n):
+        log_y = self._edge_log_y(n) + np.linspace(-0.3, 0.3, 121) * min(1.0, 30.0 / math.sqrt(n))
+        r = np.exp(0.5 * log_y)
+        got = exact_log_cdf(GinibreProduct(n, 1), r)
+        kernel = exact_cdf._product_k1_kernel(n, r**2, 2.0 * np.log(r))
+        certified = np.isneginf(got)
+        assert np.any(certified) and not np.all(certified)
+        assert np.all(kernel[certified] <= exact_cdf._LOG_ZERO_CUT)
+        # just outside the edge the table path runs, on the same points
+        np.testing.assert_allclose(got[~certified], kernel[~certified], rtol=1e-14, atol=0)
+
+    def test_floor_artefact_is_now_zero(self):
+        # the table path returned about -1.24e8 here, an artefact of the floor
+        spec = GinibreProduct(10**6, 1)
+        assert exact_log_cdf(spec, [900.0])[0] == -np.inf
+        assert exact_cdf_fn(spec)([900.0])[0] == 0.0
+        assert product_exact_cdf_k1(10**6, 900.0) == 0.0
+
+
+class TestBlockPlanner:
+    """pmf tables are built in blocks of rows x union-width <= _BLOCK_CELLS
+    cells, so memory follows the block budget, not the grid's spread."""
+
+    def test_blocks_cover_the_points_within_budget(self):
+        rng = np.random.default_rng(7)
+        centre = np.sort(rng.uniform(0.0, 5e5, 400))
+        half = rng.uniform(5.0, 3000.0, 400)
+        half[[0, 150, 399]] = [1e5, 4e4, 2e5]  # windows alone over budget
+        lo = np.floor(centre - half).astype(np.int64)
+        hi = np.ceil(centre + half).astype(np.int64)
+        stop = 0
+        for start, stop_b, i0, i1 in exact_cdf._plan_blocks(lo, hi):
+            assert start == stop and stop_b > start
+            assert i0 == lo[start:stop_b].min() and i1 == hi[start:stop_b].max()
+            if stop_b - start > 1:
+                assert (stop_b - start) * (i1 - i0 + 1) <= exact_cdf._BLOCK_CELLS
+            stop = stop_b
+        assert stop == 400
+
+    @pytest.mark.parametrize(
+        "spec,r",
+        [
+            (GinibreProduct(10**6, 1), 1000.0 * np.linspace(0.9, 1.2, 200)),
+            (TruncatedUnitary(10**6, 5 * 10**5), np.linspace(0.7078, 0.7090, 100)),
+        ],
+        ids=["k1_wide", "truncated"],
+    )
+    def test_peak_memory(self, spec, r):
+        tracemalloc = pytest.importorskip("tracemalloc")
+        tracemalloc.start()
+        try:
+            cdf_curve(spec, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    @pytest.mark.parametrize(
+        "spec,r",
+        [
+            (Spherical(50), np.sqrt(50.0) * np.linspace(0.5, 2.0, 3000)),
+            (Spherical(10**5), np.sqrt(1e5) * np.linspace(0.99, 1.01, 300)),
+            (TruncatedUnitary(60, 30), np.linspace(0.6, 0.99, 3000)),
+            (TruncatedUnitary(20000, 10000), np.linspace(0.70, 0.72, 300)),
+            (GinibreProduct(40, 1), np.sqrt(40.0) * np.linspace(0.5, 2.0, 3000)),
+            (GinibreProduct(10**5, 1), np.sqrt(1e5) * np.linspace(0.98, 1.03, 300)),
+        ],
+        ids=["sph50", "sph1e5", "tr60", "tr2e4", "k1_40", "k1_1e5"],
+    )
+    def test_input_order_does_not_matter(self, spec, r):
+        perm = np.random.default_rng(3).permutation(r.size)
+        want = exact_log_cdf(spec, r)
+        got = np.empty_like(want)
+        got[perm] = exact_log_cdf(spec, r[perm])
+        assert np.array_equal(got, want)
+        # a single point gives its value within the grid
+        for i in (0, r.size // 3, r.size - 1):
+            single = exact_log_cdf(spec, r[i : i + 1])[0]
+            assert single == pytest.approx(want[i], rel=1e-14, abs=0)
+
+    def test_point_whose_window_exceeds_the_budget(self):
+        n, r = 10**6, 1001.5
+        assert 2.0 * exact_cdf._WINDOW_SD * r > exact_cdf._BLOCK_CELLS
+        spec = GinibreProduct(n, 1)
+        alone = exact_log_cdf(spec, [r])[0]
+        among = exact_log_cdf(spec, np.linspace(1000.5, 1002.5, 5))[2]
+        assert alone == pytest.approx(among, rel=1e-14, abs=0)
+        assert -1.0 < alone < 0.0
+
+
+# log-cdfs at n = 10^6 by mpmath (dps=40): the factor product over the pmf
+# from mean - 60 sd on, each pmf from the last by its ratio, at the double r
+FROZEN_LARGE_N = [
+    (GinibreProduct(10**6, 1), 1001.08, -5.5046436018113864999),
+    (TruncatedUnitary(10**6, 5 * 10**5), 0.70787, -5.5084798246597125797),
+]
+
+
+@pytest.mark.parametrize("spec,r,want", FROZEN_LARGE_N, ids=["k1", "truncated"])
+def test_no_drift_at_n_1e6(spec, r, want):
+    # tables of log i! and log C summed over 10^6 terms put the log-cdf off
+    # by 5e-9 (k=1) and 6.8e-10 (truncated) relative here
+    assert exact_log_cdf(spec, [r])[0] == pytest.approx(want, rel=1e-11, abs=0)
+
+
+# log-cdfs of the k=2 radius from the Bessel closed form of each factor,
+# P(s1 s2 > t) = sum_{i<j} 2 t^((j+i)/2) K_{j-i}(2 sqrt t) / (i! Gamma(j)),
+# by mpmath at 60 digits (K by upward recurrence from K_0 and K_1)
+K2_REFERENCE = [
+    (20, [10.0, 30.0], [-46.361807661022680475, -0.0031293810229314622611]),
+    (100, [60.0, 150.0], [-396.79616863407682828, -4.7281361136717048074e-10]),
+    (200, [234.09448818897636], [-0.0017172394755701514804]),
+    (300, [405.0], [-8.4249352980690994679e-15]),
+    (400, [500.0, 520.0], [-6.1281360988360242353e-11, -8.082228600635637318e-15]),
+]
+
+
+class TestProductK2UpperTail:
+    @pytest.mark.parametrize("n,r,want", K2_REFERENCE, ids=[f"n{c[0]}" for c in K2_REFERENCE])
+    def test_against_bessel_reference(self, n, r, want):
+        # the upper tail overflowed for n >~ 300: -1.44e-6 at (400, 500)
+        # and QuadratureError at (400, 520)
+        got = exact_log_cdf(GinibreProduct(n, 2), r)
+        want = np.array(want)
+        assert np.all(got <= 0.0)
+        assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want) + 1e-12)
+
+    def test_factor_below_the_floor_does_not_stall_quadrature(self):
+        # at r = 0.05 the factors underflow to 0; the node doubling compared
+        # -inf with -inf and ran to QuadratureError after about 50 s
+        got = exact_log_cdf(GinibreProduct(100, 2), [0.05, 60.0])
+        assert got[0] == -np.inf
+        assert got[1] == pytest.approx(-396.79616863407682828, rel=1e-10)
