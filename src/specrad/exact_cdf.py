@@ -24,11 +24,10 @@ their mean and cut into blocks whose rows x union-width stays within
 _BLOCK_CELLS cells (one row when a window alone is wider), so working
 memory follows that budget and not how far apart the points lie.
 
-For product k=1 two Chernoff bounds skip the table.  Above the mean,
-n P(Poisson(y) <= n-1) <= n e^-y (e y/(n-1))^(n-1) below the floor
-certifies that every factor is 1 (log 0).  Below it,
-P(Poisson(y) >= n) <= e^-y (e y/n)^n below the floor bounds the last
-factor and so the product (-inf).
+For product k=1 and truncated, two Chernoff bounds skip the table.  With
+J the last factor's index (n or p), a bound on J P(X <= J-1) below the
+floor certifies every factor as 1 (log 0), and one on P(X >= J), which
+bounds every factor, certifies the product as 0 (-inf).
 
 The k=2 product ensemble has no single-pmf structure; its factor
 P(s1 s2 <= t) = integral of P(j, t/s) against the Gamma(j) density is
@@ -260,46 +259,53 @@ def _truncated_log_cdf_vec(n: int, p: int, r: np.ndarray) -> np.ndarray:
     m = n - p
     if m == 1:
         # I_x(j, 1) = x^j, so the log product is p(p+1)/2 * log x
-        log_x_all = 2.0 * np.log(rp)
-        out[interior] = 0.5 * p * (p + 1) * log_x_all
+        out[interior] = p * (p + 1) * np.log(rp)
         return out
-    log_x = 2.0 * np.log(rp)
-    log_1mx = np.log1p(-rp) + np.log1p(rp)
+    sure, null = _negbin_certificates(m, p, rp)
+    res = np.where(null, -np.inf, 0.0)
+    rest = ~sure & ~null
+    res[rest] = _truncated_kernel(n, p, rp[rest])
+    out[interior] = res
+    return out
+
+
+def _negbin_certificates(m: int, p: int, r: np.ndarray):
+    """Masks (sure, null) for X ~ NegBinomial(m, r^2): every factor
+    P(X >= j), j <= p, is 1 where p P(X <= p-1) is below the floor (log 0),
+    and at most P(X >= p), so the product is 0 where that is."""
+    log_x = 2.0 * np.log(r)
+    log_1mx = np.log1p(-r) + np.log1p(r)
+
+    # Chernoff, t = k/(x(m+k)) in E[t^X] = ((1-x)/(1-xt))^m: log P(X <= k)
+    # for k < mean and log P(X >= k) for k > mean are at most this
+    def chernoff(k):
+        tail = k * (log_x + math.log1p(m / k)) if k else 0.0
+        return tail + m * (log_1mx + math.log1p(k / m))
+
+    # the mean m x/(1-x) exceeds k where x (m+k) > k
+    sure = (r**2 * (m + p - 1) > p - 1) & (math.log(p) + chernoff(p - 1) < _LOG_ZERO_CUT)
+    null = (r**2 * (m + p) < p) & (chernoff(p) < _LOG_ZERO_CUT)
+    return sure, null
+
+
+def _truncated_kernel(n: int, p: int, rp: np.ndarray) -> np.ndarray:
+    """The same log-product from NegBinomial(n-p, x) pmf tables, 0 < r < 1."""
+    m = n - p
     x = rp**2
     mean = m * x / (1.0 - x)
     sd = np.sqrt(m * x) / (1.0 - x)
-
-    # pmf(i)/pmf(i-1) = (i+m-1)/i * x
-    def col_step(i):
-        return np.log((i + m - 1.0) / i)
-
-    # all factors j <= p sit in the left tail of the pmf there, so the
-    # prefix on [0, p-1] is enough, anchored at pmf(0) = (1-x)^m (total
-    # mass is analytically 1)
-    deep = mean - _WINDOW_SD * sd - _WINDOW_PAD > p
     wide = (1 + _WINDOW_SD) * sd > 2_000_000.0
     res = np.empty(rp.shape)
 
-    sel = np.flatnonzero(deep)
-    if sel.size:
-        zeros = np.zeros(sel.shape, dtype=np.int64)
-        blocks = _log_pmf_blocks(zeros, zeros + (p - 1), zeros, log_x[sel], col_step)
-        for rows, _, log_pmf in blocks:
-            log_pmf += m * log_1mx[sel[rows], None]
-            with np.errstate(under="ignore"):
-                prefix = np.cumsum(np.exp(log_pmf, out=log_pmf), axis=1)
-            # log factor_j = log1p(-P(X < j)), complements taken literally
-            res[sel[rows]] = np.sum(np.log1p(-np.minimum(prefix, 1.0)), axis=1)
+    sel = np.flatnonzero(~wide)
+    lo, hi = _windows(mean[sel], sd[sel])
+    # pmf(i)/pmf(i-1) = (i+m-1)/i * x
+    res[sel] = _windowed_log_sums(
+        lo, np.maximum(hi, p + _WINDOW_PAD), mean[sel], 2.0 * np.log(rp[sel]),
+        lambda i: np.log((i + m - 1.0) / i), p,
+    )
 
-    sel = np.flatnonzero(~deep & ~wide)
-    if sel.size:
-        lo, hi = _windows(mean[sel], sd[sel])
-        res[sel] = _windowed_log_sums(
-            lo, np.maximum(hi, p + _WINDOW_PAD), mean[sel], log_x[sel], col_step, p
-        )
-
-    slow = ~deep & wide
-    for idx_s in np.flatnonzero(slow):
+    for idx_s in np.flatnonzero(wide):
         # rare huge-dispersion corner: per-factor incomplete-beta calls
         acc = 0.0
         for j in range(1, p + 1):
@@ -312,9 +318,7 @@ def _truncated_log_cdf_vec(n: int, p: int, r: np.ndarray) -> np.ndarray:
                 acc = -math.inf
                 break
         res[idx_s] = acc
-
-    out[interior] = res
-    return out
+    return res
 
 
 def _product_k1_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
@@ -340,8 +344,7 @@ def _product_k1_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
     # e^-y (e y/n)^n for y < n; below the floor the product is 0
     lower = -y + n * (1.0 + log_y - math.log(n))
     null = (y < n) & (lower < _LOG_ZERO_CUT)
-    res = np.zeros(rp.shape)
-    res[null] = -np.inf
+    res = np.where(null, -np.inf, 0.0)
     rest = ~sure & ~null
     res[rest] = _product_k1_kernel(n, y[rest], log_y[rest])
     out[pos] = res

@@ -235,25 +235,13 @@ def _spherical_h_log_vec(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
         return out, bounds
 
     # H(x) <= H_1(tau) = e^{-tau}, so tau > 745 underflows the double value
-    # to exactly 0; a strictly monotone surrogate log keeps grid and
-    # bisection code well ordered without building giant Poisson tables
-    tau_all = np.clip(x[pos] ** (-2.0), 1e-300, None)
-    tiny = tau_all > 745.0
-    if np.any(tiny):
-        sub = np.full(x.shape, -np.inf)
-        sub[pos] = np.where(tiny, -55.0 - tau_all, -np.inf)
-        if np.all(tiny):
-            out[pos] = sub[pos]
-            return out, bounds
-        inner = pos.copy()
-        inner[pos] = ~tiny
-        out_inner, bounds_inner = _spherical_h_log_vec(x[inner], tol)
-        out[pos] = sub[pos]
-        out[inner] = out_inner
-        bounds[inner] = bounds_inner
+    # to exactly 0: those points keep log -inf, as in the scalar path,
+    # without giant Poisson tables
+    tau = np.clip(x[pos] ** (-2.0), 1e-300, None)
+    pos[pos] = tau <= 745.0
+    tau = tau[tau <= 745.0]
+    if tau.size == 0:
         return out, bounds
-
-    tau = tau_all
     tau_max = float(np.max(tau))
     i_max = _poisson_table_span(tau_max)
     i = np.arange(i_max + 1, dtype=float)

@@ -11,13 +11,18 @@ so the radius is a max over n (or p) independent draws, O(n*k) work per
 replicate, exact in distribution.
 
 Randomness is counter-based: replicate i of a run with master seed s draws
-from a Philox stream keyed (s, i).  Parallel execution partitions replicate
+from a Philox stream keyed (s, i).  A chunk of replicates builds one
+generator and re-keys it for each replicate, which gives exactly the
+stream a freshly built one would.  Parallel execution partitions replicate
 indices across workers; since every replicate owns its own stream, the
-assembled batch is bit-identical for any worker count or schedule.
+assembled batch is bit-identical for any worker count or schedule.  Runs
+whose estimated work is below the cost of starting a process pool stay in
+the calling process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -47,6 +52,18 @@ _UINT64_MAX = 2**64 - 1
 # preserve the element order of the full C-order fill, so results do not
 # depend on the block size
 _PRODUCT_BLOCK_ELEMS = 4_000_000
+
+# at most this many Gamma shape arrays of at most this many elements are
+# kept, so the cache does not grow with the sizes sampled
+_SHAPE_CACHE_ENTRIES = 16
+_SHAPE_CACHE_ELEMS = 4096
+_SHAPE_CACHE: dict[tuple, np.ndarray] = {}
+
+# runs of reps * (work_per_replicate + _REPLICATE_OVERHEAD_WORK) draw-units,
+# the overhead being a replicate's fixed cost, below _POOL_START_WORK cost
+# less than starting a process pool and stay in the calling process
+_REPLICATE_OVERHEAD_WORK = 200
+_POOL_START_WORK = 600_000
 
 
 def _require_u64(name: str, value) -> int:
@@ -120,47 +137,18 @@ def sample_spherical_radius(n: int, rng: RandomStream) -> float:
 
     B_j/(1-B_j) is formed as G1/G2 from the two defining Gamma variates;
     1-B_j is never computed, so j near n (B_j near 1) loses no precision.
+    G1 (shapes 1..n) and G2 (shapes n..1) come from one call, in that order.
     """
-    g = rng.generator
-    g1 = g.standard_gamma(np.arange(1.0, n + 1.0))
-    g2 = g.standard_gamma(np.arange(float(n), 0.0, -1.0))
-    return float(np.sqrt(np.max(g1 / g2)))
+    g = rng.generator.standard_gamma(_shapes((1.0, 1.0, n), (float(n), -1.0, n)))
+    return math.sqrt(np.divide(g[:n], g[n:], out=g[:n]).max())
 
 
 def sample_truncated_radius(n: int, p: int, rng: RandomStream) -> float:
     """max_j sqrt(Beta(j, n-p)) over j = 1..p; always in [0, 1]."""
-    g = rng.generator
-    g1 = g.standard_gamma(np.arange(1.0, p + 1.0))
-    g2 = g.standard_gamma(np.full(p, float(n - p)))
-    return float(np.sqrt(np.max(g1 / (g1 + g2))))
-
-
-def _truncated_radii_coupled(n: int, ps: list[int], rng: RandomStream) -> list[float]:
-    """Radii for several p values from one coupled construction.
-
-    Writes every Gamma as a sum of unit exponentials: G1_j = sum of j draws
-    E[j, :j], G2_j(m) = sum of the first m draws of a second row-indexed
-    array.  Shrinking m = n - p (larger p) can only shrink G2_j, so each
-    Beta draw B_j = G1_j/(G1_j + G2_j) grows, and the max over a larger j
-    range grows again: the returned radii are a.s. nondecreasing in p.
-
-    This coupling is the construction under which the monotonicity property
-    of the truncated radius is meaningful; the production sampler draws each
-    Gamma directly and therefore cannot share them across different p.
-    """
-    p_max = max(ps)
-    m_max = n - min(ps)
-    g = rng.generator
-    e1 = g.standard_exponential((p_max, p_max))
-    e2 = g.standard_exponential((p_max, m_max))
-    g1 = np.array([e1[j, : j + 1].sum() for j in range(p_max)])
-    out = []
-    for p in ps:
-        m = n - p
-        g2 = e2[:p, :m].sum(axis=1)
-        b = g1[:p] / (g1[:p] + g2)
-        out.append(float(np.sqrt(np.max(b))))
-    return out
+    g = rng.generator.standard_gamma(_shapes((1.0, 1.0, p), (float(n - p), 0.0, p)))
+    g1, total = g[:p], g[p:]
+    total += g1
+    return math.sqrt(np.divide(g1, total, out=g1).max())
 
 
 def sample_product_log_radius(n: int, k: int, rng: RandomStream) -> float:
@@ -173,30 +161,54 @@ def sample_product_log_radius(n: int, k: int, rng: RandomStream) -> float:
     """
     g = rng.generator
     block = max(1, _PRODUCT_BLOCK_ELEMS // k)
-    best = -np.inf
+    best = -math.inf
     for j0 in range(0, n, block):
-        j1 = min(n, j0 + block)
-        shapes = np.arange(j0 + 1.0, j1 + 1.0)[:, None]
-        draws = g.standard_gamma(np.broadcast_to(shapes, (j1 - j0, k)))
-        row_sums = np.sum(np.log(draws), axis=1)
-        best = max(best, float(np.max(row_sums)))
-    return 0.5 * best
+        rows = min(n, j0 + block) - j0
+        draws = g.standard_gamma(_shapes((j0 + 1.0, 1.0, rows))[:, None], size=(rows, k))
+        best = max(best, np.log(draws, out=draws).sum(axis=1).max())
+    return 0.5 * float(best)
 
 
-def _sample_one(spec: EnsembleSpec, rng: RandomStream) -> float:
+def _shapes(*runs: tuple[float, float, int]) -> np.ndarray:
+    """Read-only Gamma shapes: the arithmetic runs (start, step, count),
+    concatenated.  Short ones are cached; a long one costs little next to
+    its draws."""
+    out = _SHAPE_CACHE.get(runs)
+    if out is None:
+        out = np.concatenate([start + step * np.arange(count) for start, step, count in runs])
+        out.flags.writeable = False
+        if out.size <= _SHAPE_CACHE_ELEMS:
+            if len(_SHAPE_CACHE) >= _SHAPE_CACHE_ENTRIES:
+                del _SHAPE_CACHE[next(iter(_SHAPE_CACHE))]
+            _SHAPE_CACHE[runs] = out
+    return out
+
+
+def _sampler(spec: EnsembleSpec):
+    """The public sampler of spec's family, as a function of the stream."""
     if isinstance(spec, Spherical):
-        return sample_spherical_radius(spec.n, rng)
+        return functools.partial(sample_spherical_radius, spec.n)
     if isinstance(spec, TruncatedUnitary):
-        return sample_truncated_radius(spec.n, spec.p, rng)
+        return functools.partial(sample_truncated_radius, spec.n, spec.p)
     if isinstance(spec, GinibreProduct):
-        return sample_product_log_radius(spec.n, spec.k, rng)
+        return functools.partial(sample_product_log_radius, spec.n, spec.k)
     raise ValueError(f"unknown ensemble spec: {spec!r}")
 
 
 def _replicate_range(spec: EnsembleSpec, master_seed: int, start: int, stop: int) -> np.ndarray:
+    """Replicates start..stop-1 from one generator: writing i into the key
+    of a fresh Philox state (counter 0, empty buffer) gives exactly the
+    stream that RandomStream(master_seed, i) would build."""
+    sample = _sampler(spec)
+    rng = RandomStream(master_seed, start)
+    bitgen = rng.generator.bit_generator
+    fresh = bitgen.state
+    key = fresh["state"]["key"]
     out = np.empty(stop - start)
     for i in range(start, stop):
-        out[i - start] = _sample_one(spec, RandomStream(master_seed, i))
+        key[1] = rng.stream_index = i
+        bitgen.state = fresh
+        out[i - start] = sample(rng)
     return out
 
 
@@ -218,9 +230,12 @@ def run_monte_carlo(
 
     Replicate i always draws from the stream keyed (master_seed, i), so the
     assembled batch is bit-identical for every workers value; workers only
-    controls how the index range is partitioned across processes.  The
-    default (None) uses every CPU this process may run on.  A run with one
-    worker or a single replicate stays in the calling process.
+    controls how the index range is partitioned across processes.  Each
+    chunk of the range builds one generator and re-keys it per replicate.
+    workers is an upper bound; the default (None) is every CPU this process
+    may run on.  A run stays in the calling process when it has one worker
+    or one replicate, or when reps * (work_per_replicate + 200) draw-units
+    come to less than 600,000, about what starting a pool costs.
 
     Raises WorkBudgetError before doing any sampling if reps times the
     per-replicate work (n*k for products, 2n / 2p otherwise) exceeds
@@ -245,19 +260,13 @@ def run_monte_carlo(
             budget=budget,
         )
 
-    if workers == 1 or reps == 1:
+    serial_work = reps * (spec.work_per_replicate + _REPLICATE_OVERHEAD_WORK)
+    if workers == 1 or reps == 1 or serial_work < _POOL_START_WORK:
         stats = _replicate_range(spec, master_seed, 0, reps)
     else:
         n_chunks = min(workers * 4, reps)
-        bounds = np.linspace(0, reps, n_chunks + 1, dtype=int)
-        pieces = []
+        bounds = np.linspace(0, reps, n_chunks + 1, dtype=int).tolist()
+        chunk = functools.partial(_replicate_range, spec, master_seed)
         with ProcessPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-            futures = [
-                pool.submit(_replicate_range, spec, master_seed, int(a), int(b))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if b > a
-            ]
-            for fut in futures:
-                pieces.append(fut.result())
-        stats = np.concatenate(pieces)
+            stats = np.concatenate(list(pool.map(chunk, bounds[:-1], bounds[1:])))
     return SampleBatch(spec=spec, statistics=stats, seed=master_seed, reps=reps)

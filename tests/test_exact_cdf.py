@@ -358,6 +358,78 @@ class TestProductK1LowerCertificate:
         assert product_exact_cdf_k1(10**6, 900.0) == 0.0
 
 
+class TestTruncatedCertificates:
+    """With X ~ NegBinomial(m, x), m = n-p: where p P(X <= p-1) is certified
+    below the 1e-320 floor every factor is 1 (log 0), and where P(X >= p)
+    is, the product is 0 (-inf); both without a table."""
+
+    @staticmethod
+    def _bound(n, p, k, r):
+        # Chernoff: k log(x (m+k)/k) + m log((1-x)(m+k)/m), x = r^2
+        m, x = n - p, r * r
+        b = m * math.log((1.0 - x) * (m + k) / m)
+        return b + k * math.log(x * (m + k) / k) if k > 0 else b
+
+    def _sweep(self, n, p, upper):
+        """121 radii across a certificate's edge: its log bound runs from
+        150 below the floor's log to 150 above it."""
+        r_mean = math.sqrt(p / n)  # the pmf mean is p there
+        if upper:  # falls as r rises past r_mean
+            bound = lambda r: math.log(p) + self._bound(n, p, p - 1, r)
+            lo, hi = r_mean, 1.0 - 1e-15
+        else:  # rises with r below r_mean
+            bound = lambda r: self._bound(n, p, p, r)
+            lo, hi = 1e-150, r_mean
+
+        def solve(level):
+            a, b = lo, hi
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if (bound(mid) < level) != upper else (a, mid)
+            return a
+
+        cut = exact_cdf._LOG_ZERO_CUT
+        return np.linspace(solve(cut - 150.0), solve(cut + 150.0), 121)
+
+    @pytest.mark.parametrize(
+        "n,p,upper",
+        [(n, p, False) for n, p in [(10, 5), (60, 30), (300, 20), (2000, 1000), (10**5, 5 * 10**4)]]
+        # at smaller m no double r < 1 reaches the upper edge
+        + [(n, p, True) for n, p in [(40, 1), (60, 30), (300, 20), (2000, 1000), (10**5, 5 * 10**4)]],
+    )
+    def test_certified_points_are_at_the_floor_in_the_kernel(self, n, p, upper):
+        r = self._sweep(n, p, upper)
+        got = exact_log_cdf(TruncatedUnitary(n, p), r)
+        kernel = exact_cdf._truncated_kernel(n, p, r)
+        k = p - 1 if upper else p
+        bound = np.array([self._bound(n, p, k, v) for v in r]) + (math.log(p) if upper else 0.0)
+        certified = bound < exact_cdf._LOG_ZERO_CUT
+        assert np.any(certified) and not np.all(certified)
+        if upper:
+            assert np.all(got[certified] == 0.0)
+            assert np.all(np.abs(kernel[certified]) <= 1e-300)
+        else:
+            assert np.all(np.isneginf(got[certified]))
+            assert np.all(kernel[certified] <= exact_cdf._LOG_ZERO_CUT)
+        # on the other side of the edge the table path runs, on the same points
+        np.testing.assert_allclose(got[~certified], kernel[~certified], rtol=1e-14, atol=0)
+
+    def test_large_n_points_need_no_table(self):
+        # r = 0.5 gave the floor artefact -2.39e8 from a 23 MB table, and
+        # r = 0.73 and 0.8 built a 20 MB prefix table to return log 0
+        spec = TruncatedUnitary(10**6, 5 * 10**5)
+        tracemalloc = pytest.importorskip("tracemalloc")
+        tracemalloc.start()
+        try:
+            got = exact_log_cdf(spec, [0.5, 0.73, 0.8])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0] == -np.inf and got[1] == 0.0 and got[2] == 0.0
+        assert peak <= 1e6
+        assert truncated_exact_cdf(10**6, 5 * 10**5, 0.5) == 0.0
+
+
 class TestBlockPlanner:
     """pmf tables are built in blocks of rows x union-width <= _BLOCK_CELLS
     cells, so memory follows the block budget, not the grid's spread."""

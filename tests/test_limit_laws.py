@@ -98,6 +98,22 @@ class TestSphericalH:
         assert spherical_h_cdf(0.02).value == 0.0
         assert cdf_values(SPHERICAL_H, [0.02], tol=1e-12)[0] == 0.0
 
+    def test_vector_log_is_monotone_across_the_cut(self):
+        # below x = 745^-1/2 ~ 0.0366 the log is -inf, as on the scalar path;
+        # a surrogate -55 - tau lay far above the true log just past the cut
+        x = np.linspace(0.02, 0.06, 401)
+        log_vec, _ = limit_laws._spherical_h_log_vec(x, 1e-12)
+        assert np.all(log_vec[1:] >= log_vec[:-1])
+        cut = x**-2.0 > 745.0
+        assert np.all(np.isneginf(log_vec[cut])) and np.all(np.isfinite(log_vec[~cut]))
+        assert spherical_h_cdf(float(x[0])).log_value == -math.inf
+        assert np.all(cdf_values(SPHERICAL_H, x, tol=1e-12) == 0.0)
+        # the values these levels had while the surrogate was in place
+        got = quantiles(SPHERICAL_H, [1e-300, 1e-200, 1e-10, 0.5])
+        assert list(got) == [
+            0.14441178523793857, 0.16282005342259911, 0.37708971335068975, 1.340104669750513
+        ]
+
 
 class TestGumbel:
     def test_at_zero(self):

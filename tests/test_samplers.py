@@ -24,6 +24,48 @@ from _util import ks_distance
 EULER_GAMMA = 0.5772156649015329
 
 
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Records max_workers of every process pool run_monte_carlo starts."""
+    starts = []
+    real = samplers.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        starts.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(samplers, "ProcessPoolExecutor", counting)
+    return starts
+
+
+def _truncated_radii_coupled(n: int, ps: list[int], rng: RandomStream) -> list[float]:
+    """Radii for several p values from one coupled construction.
+
+    Writes every Gamma as a sum of unit exponentials: G1_j = sum of j draws
+    E[j, :j], G2_j(m) = sum of the first m draws of a second row-indexed
+    array.  Shrinking m = n - p (larger p) can only shrink G2_j, so each
+    Beta draw B_j = G1_j/(G1_j + G2_j) grows, and the max over a larger j
+    range grows again: the returned radii are a.s. nondecreasing in p.
+
+    This coupling is the construction under which the monotonicity property
+    of the truncated radius is meaningful; the production sampler draws each
+    Gamma directly and therefore cannot share them across different p.
+    """
+    p_max = max(ps)
+    m_max = n - min(ps)
+    g = rng.generator
+    e1 = g.standard_exponential((p_max, p_max))
+    e2 = g.standard_exponential((p_max, m_max))
+    g1 = np.array([e1[j, : j + 1].sum() for j in range(p_max)])
+    out = []
+    for p in ps:
+        m = n - p
+        g2 = e2[:p, :m].sum(axis=1)
+        b = g1[:p] / (g1[:p] + g2)
+        out.append(float(np.sqrt(np.max(b))))
+    return out
+
+
 class TestRandomStream:
     def test_same_pair_same_output(self):
         a = RandomStream(42, 7).generator.random(5)
@@ -101,7 +143,7 @@ class TestTruncatedSampler:
     def test_monotone_coupling_in_p(self):
         ps = [5, 10, 20, 39]
         for i in range(300):
-            radii = samplers._truncated_radii_coupled(40, ps, RandomStream(21, i))
+            radii = _truncated_radii_coupled(40, ps, RandomStream(21, i))
             assert all(radii[j] <= radii[j + 1] + 1e-15 for j in range(len(ps) - 1))
 
 
@@ -139,6 +181,64 @@ class TestProductSampler:
         assert full == blocked
 
 
+# (seed, replicate) pairs and the statistics the public samplers gave for
+# them before the samplers re-keyed one generator per chunk; any change to
+# the random stream moves these values
+STREAM_PAIRS = [(7, 3), (2**40 + 1, 12345), (2**64 - 1, 2**63)]
+STREAM_PINS = [
+    (lambda rng: sample_spherical_radius(50, rng),
+     [6.6048875045388575, 18.000515591183845, 16.37033923129227]),
+    (lambda rng: sample_spherical_radius(1, rng),
+     [0.8514113972449676, 0.22404267161930658, 0.2259932620983132]),
+    (lambda rng: sample_truncated_radius(60, 30, rng),
+     [0.7731742319496825, 0.731601568981843, 0.7851387021022989]),
+    (lambda rng: sample_product_log_radius(40, 1, rng),
+     [1.9869637229244124, 1.9088763157572868, 1.8188027246743463]),
+    (lambda rng: sample_product_log_radius(10, 2, rng),
+     [2.366352635930245, 2.296058350253323, 2.240485878646318]),
+    (lambda rng: sample_product_log_radius(40, 5, rng),
+     [9.342892662807788, 9.358064468820187, 9.366590543847611]),
+]
+# run_monte_carlo(spec, 3000, 31) at replicates 1, 374, 375 and 2999; with
+# two workers the chunks are 375 replicates long
+BATCH_PINS = [
+    (Spherical(50),
+     [12.4027791268913, 11.477980905970671, 6.005442548587649, 5.162672956755582]),
+    (TruncatedUnitary(60, 30),
+     [0.7870603972846507, 0.7439015336400094, 0.7505606583891206, 0.7457079470652896]),
+    (GinibreProduct(40, 1),
+     [1.9130316870617021, 2.0104129985156494, 1.9022060982584017, 1.8765778868722887]),
+    (GinibreProduct(10, 2),
+     [2.607680023312975, 2.209616247743135, 2.5316461673167687, 2.637082807523065]),
+]
+
+
+class TestStreamPins:
+    @pytest.mark.parametrize("sample,expected", STREAM_PINS)
+    def test_public_samplers(self, sample, expected):
+        assert [sample(RandomStream(s, i)) for s, i in STREAM_PAIRS] == expected
+
+    def test_product_blocks(self, monkeypatch):
+        # 2000 rows of 2100 draws are two blocks of _PRODUCT_BLOCK_ELEMS
+        assert sample_product_log_radius(2000, 2100, RandomStream(5, 9)) == 7981.358315427351
+        monkeypatch.setattr(samplers, "_PRODUCT_BLOCK_ELEMS", 64)
+        got = [sample_product_log_radius(40, 5, RandomStream(s, i)) for s, i in STREAM_PAIRS]
+        assert got == STREAM_PINS[-1][1]
+
+    @pytest.mark.parametrize("spec,_", BATCH_PINS)
+    def test_rekeyed_chunk_matches_fresh_streams(self, spec, _):
+        sample = samplers._sampler(spec)
+        chunk = samplers._replicate_range(spec, 2**40 + 1, 5, 45)
+        assert list(chunk) == [sample(RandomStream(2**40 + 1, i)) for i in range(5, 45)]
+
+    @pytest.mark.parametrize("spec,expected", BATCH_PINS)
+    def test_batches_across_chunks(self, spec, expected, pool_starts):
+        for workers in (1, 2):
+            stats = run_monte_carlo(spec, 3000, 31, workers=workers).statistics
+            assert [stats[i] for i in (1, 374, 375, 2999)] == expected
+        assert pool_starts == [2]
+
+
 class TestRunMonteCarlo:
     def test_worker_count_invariance(self):
         a = run_monte_carlo(Spherical(100), 1000, master_seed=7, workers=1)
@@ -150,6 +250,30 @@ class TestRunMonteCarlo:
         default = run_monte_carlo(spec, 300, master_seed=9)
         serial = run_monte_carlo(spec, 300, master_seed=9, workers=1)
         assert np.array_equal(default.statistics, serial.statistics)
+
+    def test_worker_count_invariance_through_the_pool(self, pool_starts):
+        spec = Spherical(100)
+        serial = run_monte_carlo(spec, 3000, master_seed=7, workers=1)
+        for workers in (2, 3):
+            pooled = run_monte_carlo(spec, 3000, master_seed=7, workers=workers)
+            assert np.array_equal(serial.statistics, pooled.statistics)
+        assert pool_starts == [2, 3]
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Spherical(n) for n in (5, 10, 20, 40)]
+        + [TruncatedUnitary(n, n // 2) for n in (6, 10, 20, 40)]
+        + [GinibreProduct(n, 1) for n in (5, 10, 20, 40)],
+    )
+    def test_short_runs_stay_in_process(self, spec, pool_starts):
+        # 300 replicates cost less than starting a pool
+        assert run_monte_carlo(spec, 300, master_seed=1, workers=4).reps == 300
+        assert pool_starts == []
+
+    def test_long_run_starts_a_pool(self, pool_starts):
+        # the smallest of the exact-cdf check batches, just above the line
+        run_monte_carlo(GinibreProduct(10, 2), 5000, master_seed=1, workers=2)
+        assert pool_starts == [2]
 
     def test_single_chunk_stays_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
