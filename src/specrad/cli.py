@@ -383,7 +383,8 @@ def _add_run_flags(sub):
     sub.add_argument("--reps", type=int, required=True, help="replicates")
     sub.add_argument("--seed", type=int, default=None,
                      help="master seed (default: SPECRAD_SEED or 0)")
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--workers", type=int, default=None,
+                     help="max worker processes (default: every available CPU)")
     sub.add_argument("--budget", type=float, default=DEFAULT_WORK_BUDGET,
                      help="max scalar draws per invocation")
 

@@ -29,4 +29,4 @@ class NonConvergenceError(RuntimeError):
 
 
 class QuadratureError(NonConvergenceError):
-    """Adaptive quadrature failed to converge within its refinement cap."""
+    """A quadrature or contour sum needs more nodes than its cap allows."""

@@ -239,7 +239,7 @@ def run_monte_carlo(
 
     Raises WorkBudgetError before doing any sampling if reps times the
     per-replicate work (n*k for products, 2n / 2p otherwise) exceeds
-    ``budget``.
+    ``budget`` (None disables the guard; NaN is a ValueError).
     """
     if int(reps) != reps or reps < 1:
         raise ValueError(f"reps must be a positive integer, got {reps}")
@@ -251,6 +251,8 @@ def run_monte_carlo(
     workers = int(workers)
     master_seed = _require_u64("master_seed", master_seed)
 
+    if budget is not None and math.isnan(budget):
+        raise ValueError("budget must be a number or None, got NaN")
     required = spec.work_per_replicate * reps
     if budget is not None and required > budget:
         raise WorkBudgetError(

@@ -46,14 +46,12 @@ _FPMIN = 1e-300
 
 @dataclass(frozen=True)
 class Accuracy:
-    """Iteration budget for series / continued-fraction evaluation."""
+    """Iteration budget for series / continued-fraction evaluation; they
+    stop at double-precision convergence or after max_terms terms."""
 
-    abs_tol: float = 1e-15
     max_terms: int = 10_000
 
     def __post_init__(self) -> None:
-        if not (self.abs_tol > 0):
-            raise ValueError(f"abs_tol must be positive, got {self.abs_tol}")
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
 

@@ -111,6 +111,15 @@ class TestCmdSample:
         _, parallel, _ = run_cli(capsys, *base, "8")
         assert serial == parallel
 
+    def test_default_workers_bytes(self, capsys):
+        # without --workers the run uses every CPU, as run_monte_carlo does;
+        # 3000 replicates are past the line below which a run stays serial
+        base = ("sample", "--ensemble", "product", "--n", "20", "--k", "2",
+                "--reps", "3000", "--seed", "5")
+        _, default, _ = run_cli(capsys, *base)
+        _, serial, _ = run_cli(capsys, *base, "--workers", "1")
+        assert default == serial
+
     def test_product_log_radius_comment(self, capsys):
         code, out, _ = run_cli(
             capsys, "sample", "--ensemble", "product", "--n", "6", "--k", "1",
@@ -137,6 +146,16 @@ class TestCmdSample:
             "--reps", "1000000", "--seed", "0",
         )
         assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_nan_budget_exit_code(self, capsys):
+        # NaN passed the <= 0 test and then every budget comparison
+        code, out, err = run_cli(
+            capsys, "sample", "--ensemble", "spherical", "--n", "5",
+            "--reps", "3", "--seed", "0", "--budget", "nan",
+        )
+        assert code == 2
         assert out == ""
         assert err.startswith("error:")
 

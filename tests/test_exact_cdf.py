@@ -308,10 +308,12 @@ class TestCurveAndDispatch:
             product_exact_cdf_k2(1, 1.0, quad_points=64.5)
 
     def test_quadrature_failure_reports_achieved(self, monkeypatch):
-        monkeypatch.setattr(exact_cdf, "_NODE_CAP", 256)
+        # a factor that needs more contour nodes than the cap raises, with
+        # the truncation bound reached at the cap
+        monkeypatch.setattr(exact_cdf, "_CONTOUR_NODE_CAP", 8)
         with pytest.raises(QuadratureError) as exc:
-            exact_cdf._product_k2_log_cdf_vec(5, np.array([2.5]), rel_tol=1e-30)
-        assert exc.value.achieved > 0.0
+            exact_log_cdf(GinibreProduct(5, 2), [2.5])
+        assert 0.0 < exc.value.achieved < math.inf
 
     def test_k2_deterministic_and_node_stable(self):
         a = product_exact_cdf_k2(5, 2.5)
@@ -544,3 +546,132 @@ class TestProductK2UpperTail:
         got = exact_log_cdf(GinibreProduct(100, 2), [0.05, 60.0])
         assert got[0] == -np.inf
         assert got[1] == pytest.approx(-396.79616863407682828, rel=1e-10)
+
+
+# log P(S_j <= x), S_j = log s1 + log s2 with s1, s2 ~ Gamma(j), at x = mean
+# + z sd for z in (-6, -2, -0.5, -0.05, 0, 0.05, 0.5, 2, 6): from the same
+# Bessel closed form, by mpmath at 60 digits past the cancellation in 1 - P
+K2_FACTOR_REFERENCE = {
+    1: [
+        (-12.037227515208373, -9.5621325263576512656),
+        (-4.782030058271501, -3.2444510547042485325),
+        (-2.0613310119201746, -1.3054359664975706403),
+        (-1.2451212980147766, -8.4771940628744539124e-1),
+        (-1.1544313298030657, -8.0200343536097839606e-1),
+        (-1.063741361591355, -7.5742037016248892404e-1),
+        (-0.24753164768595678, -4.1164913160431650436e-1),
+        (2.47316739866537, -3.537581885949097355e-3),
+        (9.72836485560224, -5.844480860559479983e-112),
+    ],
+    2: [
+        (-5.968773030442409, -1.0957992403028365435e+1),
+        (-1.4258785633495137, -3.3503310100179132923),
+        (0.2777068618103223, -1.2630164760284252988),
+        (0.7887824893582731, -8.1107470793762738543e-1),
+        (0.8455686701969343, -7.6704104921844926901e-1),
+        (0.9023548510355954, -7.2429942533696681142e-1),
+        (1.4134304785835463, -3.994171419112406189e-1),
+        (3.117015903743382, -8.4436130906054773165e-3),
+        (7.659910370836278, -2.5734366596940947697e-36),
+    ],
+    5: [
+        (-0.9796630602743202, -1.3183327264180074918e+1),
+        (1.6816025378176274, -3.4780615853074351804),
+        (2.6795771371021075, -1.226821904583283831),
+        (2.9789695168874517, -7.8017900442394293487e-1),
+        (3.012235336863601, -7.375879837202316623e-1),
+        (3.0455011568397503, -6.9640700228983109305e-1),
+        (3.3448935366250945, -3.8837786773553783636e-1),
+        (4.342868135909574, -1.384490900836256676e-2),
+        (7.004133734001522, -4.4717409361780171789e-19),
+    ],
+    10: [
+        (1.7517827776937878, -1.4793193785101424893e+1),
+        (3.5862643779868906, -3.5550965784858980725),
+        (4.274194978096804, -1.2104761556958956524),
+        (4.480574158129778, -7.6583207762013785613e-1),
+        (4.503505178133442, -7.2387192187612520584e-1),
+        (4.526436198137106, -6.8337613041845631334e-1),
+        (4.73281537817008, -3.8277232385902366841e-1),
+        (5.420745978279994, -1.661145292001279909e-2),
+        (7.255227578573097, -5.1942347090964705635e-15),
+    ],
+    50: [
+        (6.597954474673543, -1.7628246519358010118e+1),
+        (7.40197105612837, -3.6727423217925814673),
+        (7.703477274173931, -1.190641676062457698),
+        (7.793929139587599, -7.4780450372721713105e-1),
+        (7.803979346855784, -7.0658319039715721897e-1),
+        (7.8140295541239695, -6.668965180650735374e-1),
+        (7.904481419537638, -3.752103556295525658e-1),
+        (8.205987637583199, -2.0206418263939163277e-2),
+        (9.010004219038027, -1.4143687592895877941e-11),
+    ],
+    100: [
+        (8.349669839464848, -1.84480450133031332e+1),
+        (8.916772416805733, -3.7034962523107945782),
+        (9.129435883308565, -1.1862228636147470984),
+        (9.193234923259414, -7.436732624931361695e-1),
+        (9.200323705476174, -7.0261204415000880404e-1),
+        (9.207412487692936, -6.6310203591514566782e-1),
+        (9.271211527643786, -3.7339392622483864143e-1),
+        (9.483874994146618, -2.1037797981083691597e-2),
+        (10.050977571487502, -5.7020833049746296527e-11),
+    ],
+}
+
+# log cdf at n=100 in the far upper tail, from the same closed form
+K2_FAR_UPPER_TAIL = [
+    (267.0, -2.1008611576267471883e-62),
+    (272.0, -3.7305510128774783996e-65),
+    (277.0, -6.1997004199186781061e-68),
+    (282.0, -9.6651204800758218687e-71),
+    (287.0, -1.4165987879967597663e-73),
+]
+
+
+class TestProductK2Contour:
+    """The contour kernel behind the k=2 cdf, factor by factor."""
+
+    @pytest.mark.parametrize("j", sorted(K2_FACTOR_REFERENCE))
+    def test_factor_logs_against_mpmath(self, j):
+        x, want = np.array(K2_FACTOR_REFERENCE[j]).T
+        got = exact_cdf._contour_log_factors(np.full((x.size, 1), float(j)), x[:, None], 2)
+        np.testing.assert_allclose(got[:, 0], want, rtol=1e-12, atol=0)
+
+    def test_far_upper_tail(self):
+        # the Gauss-Legendre path was off by 3.7e-11 to 1.6e-10 relative here
+        r, want = np.array(K2_FAR_UPPER_TAIL).T
+        got = exact_log_cdf(GinibreProduct(100, 2), r)
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+
+    def test_log_gamma_ratio_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        for a in (0.5, 1.0, 2.0, 7.5, 50.0, 400.0, 1e4):
+            z = np.array([complex(re, im) for re in (-0.9 * a, -0.3, 0.0, 0.7, 3.0, 50.0)
+                          for im in (0.0, 0.01, 0.5, 3.0, 20.0, 150.0)])
+            got = exact_cdf._log_gamma_ratio(a, z)
+            for zi, gi in zip(z, got):
+                with mpmath.workdps(40):
+                    want = complex(mpmath.loggamma(a + mpmath.mpc(zi)) - mpmath.loggamma(a))
+                # equal mod 2 pi i
+                d = gi - want
+                d = complex(d.real, math.remainder(d.imag, 2.0 * math.pi))
+                assert abs(d) <= 2e-14 * max(abs(want), 1.0), (a, zi)
+
+    @pytest.mark.parametrize("r", [1e40, 1e150, math.inf])
+    def test_extreme_radii_are_one(self, r):
+        # every upper tail is below the floor; no recurrence product overflows
+        assert product_exact_cdf_k2(10, r) == 1.0
+        assert exact_log_cdf(GinibreProduct(3, 2), [r, 2.0])[0] == 0.0
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 400])
+    def test_k1_matches_poisson_kernel(self, n):
+        # S_j = log s1 at k=1, so the kernel gives prod_j P(Poisson(r^2) >= j);
+        # below the floor either path may return any log below it
+        r = np.sqrt(n) * np.linspace(0.5, 1.6, 60)
+        want = exact_cdf._product_k1_log_cdf_vec(n, r)
+        got = exact_cdf._product_log_cdf_vec(n, 1, r)
+        live = want > exact_cdf._LOG_ZERO_CUT
+        assert np.all(got[~live] <= exact_cdf._LOG_ZERO_CUT)
+        np.testing.assert_allclose(got[live], want[live], rtol=1e-12, atol=1e-300)

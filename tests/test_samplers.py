@@ -307,6 +307,11 @@ class TestRunMonteCarlo:
         batch = run_monte_carlo(Spherical(3), 5, master_seed=0, budget=None)
         assert batch.reps == 5
 
+    def test_nan_budget_rejected(self):
+        # NaN compares False with the required work, so any run went unguarded
+        with pytest.raises(ValueError):
+            run_monte_carlo(Spherical(3), 5, master_seed=0, budget=float("nan"))
+
     def test_batch_validation(self):
         with pytest.raises(ValueError):
             SampleBatch(
