@@ -522,8 +522,7 @@ def product_exact_cdf_k2(n: int, r: float, quad_points: int = 64) -> float:
     """
     n = _check_n(n)
     r = _check_radius(r)
-    if int(quad_points) != quad_points or quad_points < 64:
-        raise ValueError(f"quad_points must be an integer >= 64, got {quad_points}")
+    _check_quad_points(quad_points)
     if r == 0.0:
         return 0.0
     return _as_prob(float(_product_log_cdf_vec(n, 2, np.array([r]))[0]))
@@ -538,6 +537,17 @@ def _check_n(n: int) -> int:
     return int(n)
 
 
+def _check_quad_points(quad_points: int) -> None:
+    """``quad_points`` is kept in the public signatures, unused, and must
+    be an integer >= 64."""
+    try:
+        ok = int(quad_points) == quad_points and quad_points >= 64
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"quad_points must be an integer >= 64, got {quad_points}")
+
+
 def _check_radius(r: float) -> float:
     r = float(r)
     if math.isnan(r) or r < 0.0:
@@ -550,8 +560,10 @@ def exact_log_cdf(spec: EnsembleSpec, r, quad_points: int = 64) -> np.ndarray:
 
     For GinibreProduct the argument is the radius (not the log-radius) and
     only k in {1, 2} is supported; larger k has no closed finite-n form
-    here and is covered by Monte Carlo.
+    here and is covered by Monte Carlo.  ``quad_points`` is validated
+    (an integer >= 64) but unused.
     """
+    _check_quad_points(quad_points)
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if isinstance(spec, Spherical):
         return _spherical_log_cdf_vec(spec.n, r)
@@ -568,6 +580,7 @@ def exact_log_cdf(spec: EnsembleSpec, r, quad_points: int = 64) -> np.ndarray:
 
 def exact_cdf_fn(spec: EnsembleSpec, quad_points: int = 64):
     """A vectorized r -> cdf callable for the given ensemble."""
+    _check_quad_points(quad_points)
 
     def fn(r):
         log_v = exact_log_cdf(spec, r, quad_points)

@@ -22,6 +22,17 @@ with a certified truncation bound:
 
 Each cdf value is returned as a CdfValue carrying its log and that bound.
 
+The vector paths evaluate the same factors as arrays, one table row per
+point.  Normal tails come from specfun's array erfc (Cody's rational
+approximations), never from a Python float per element.  Each Phi_a point
+keeps the scalar path's own truncation J: the points are sorted, so J
+falls along them, and each row's log is read at its J from a cumulative
+sum.  Both tables are cut into blocks of at most _TABLE_CELLS = 2^14 cells
+(128 KB per temporary; on a 2-CPU Xeon with 4 MB L2 the Phi_a kernel ran
+about a third faster than at 2^15 or 2^16 cells).  So a point's value
+does not depend on the other points of the call, and working memory
+follows the block, not the call.
+
 Neither product has a closed-form inverse, so ``quantiles`` inverts the
 vector cdf numerically in the law's natural coordinate (log x for H, the
 Gaussian argument t for Phi_a, x for the normal law).  One tabulation of
@@ -39,7 +50,7 @@ from typing import Union
 import numpy as np
 
 from .errors import NonConvergenceError
-from .specfun import log_std_normal_cdf, std_normal_cdf, std_normal_pdf
+from .specfun import _erfc_array, log_std_normal_cdf, std_normal_cdf, std_normal_pdf
 from .samplers import RandomStream
 
 __all__ = [
@@ -111,8 +122,9 @@ class CdfValue:
     truncation_bound: float
 
 
-# rows per block of the vector H tables, which have one row per point
-_H_ROW_BLOCK = 256
+# cells (rows x columns) per block of the vector H and Phi_alpha tables,
+# one row per point; a block holds one row when that row alone is wider
+_TABLE_CELLS = 1 << 14
 
 
 def _validate_tol(tol: float) -> float:
@@ -247,8 +259,9 @@ def _spherical_h_log_vec(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     i = np.arange(i_max + 1, dtype=float)
     log_fact = np.cumsum(np.concatenate(([0.0], np.log(i[1:]))))
     log_pos, bounds_pos = np.empty(tau.shape), np.empty(tau.shape)
-    for start in range(0, len(tau), _H_ROW_BLOCK):
-        rows = slice(start, start + _H_ROW_BLOCK)
+    step = max(1, _TABLE_CELLS // (i_max + 1))
+    for start in range(0, len(tau), step):
+        rows = slice(start, start + step)
         log_pos[rows], bounds_pos[rows] = _spherical_h_log_rows(tau[rows], i, log_fact, tol)
     out[pos] = log_pos
     bounds[pos] = bounds_pos
@@ -323,13 +336,13 @@ def phi_alpha(x: float, alpha: float, tol: float = 1e-12, max_terms: int = 200_0
     while True:
         t = x + j * sqrt_a
         if t >= 1.0:
-            u = 0.5 * math.erfc(t * _SQRT1_2)
-            r = math.exp(-sqrt_a * t)
-            phi_t = 1.0 - u
-            bound = u / ((1.0 - r) * phi_t)
+            u, bound = _phi_tail(t, sqrt_a)
             if bound <= tol:
                 break
-        logs.append(log_std_normal_cdf(t))
+            # log Phi(t) for t > 0 is log1p(-u), as in log_std_normal_cdf
+            logs.append(math.log1p(-u))
+        else:
+            logs.append(log_std_normal_cdf(t))
         j += 1
         if j > max_terms:
             raise NonConvergenceError(
@@ -343,21 +356,35 @@ def phi_alpha(x: float, alpha: float, tol: float = 1e-12, max_terms: int = 200_0
 
 _SQRT1_2 = math.sqrt(0.5)
 
-_erfc_vec = np.frompyfunc(math.erfc, 1, 1)
+_PHI_MAX_TERMS = 1_000_000
+
+
+def _phi_tail(t: float, sqrt_a: float) -> tuple[float, float]:
+    """u = 1 - Phi(t) and the certified bound u / ((1 - r) Phi(t)), with
+    r = exp(-sqrt_a t), on the log mass of the Phi_alpha factors from the
+    one at t >= 1 on."""
+    u = 0.5 * math.erfc(t * _SQRT1_2)
+    return u, u / ((1.0 - math.exp(-sqrt_a * t)) * (1.0 - u))
+
+
+def _phi_tail_bound_vec(t: np.ndarray, sqrt_a: float) -> np.ndarray:
+    """The bound of ``_phi_tail`` over an array of t >= 1."""
+    u = 0.5 * _erfc_array(t * _SQRT1_2)
+    return u / ((1.0 - np.exp(-sqrt_a * t)) * (1.0 - u))
 
 
 def _log_std_normal_cdf_vec(t: np.ndarray) -> np.ndarray:
-    """Vectorized log Phi; mirrors specfun.log_std_normal_cdf."""
+    """Vectorized log Phi; mirrors specfun.log_std_normal_cdf.
+
+    With c = erfc(|t|/sqrt 2)/2, log Phi(t) is log1p(-c) for t > 0 and
+    log c for -30 <= t <= 0; below -30 the Mills-ratio continued fraction
+    takes over on the log scale.
+    """
     t = np.asarray(t, dtype=float)
-    out = np.empty(t.shape)
-    hi = t > 0.0
-    mid = (~hi) & (t >= -30.0)
+    c = 0.5 * _erfc_array(np.abs(t) * _SQRT1_2)
+    with np.errstate(divide="ignore"):
+        out = np.where(t > 0.0, np.log1p(-c), np.log(c))
     lo = t < -30.0
-    if np.any(hi):
-        upper = 0.5 * _erfc_vec(t[hi] * _SQRT1_2).astype(float)
-        out[hi] = np.log1p(-upper)
-    if np.any(mid):
-        out[mid] = np.log(0.5 * _erfc_vec(-t[mid] * _SQRT1_2).astype(float))
     if np.any(lo):
         s = -t[lo]
         cf = s + 40.0
@@ -367,32 +394,82 @@ def _log_std_normal_cdf_vec(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phi_alpha_truncation(x: np.ndarray, sqrt_a: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per point, the scalar path's J (the first J with t_J = x + J sqrt_a
+    >= 1 and bound(t_J) <= tol) and that bound.
+
+    The bound falls as t grows and is 0 in double precision at t = 40, so
+    every J follows from the one t* where it meets tol: a scalar bisection
+    finds t*, and single steps of J settle the rounding near it.
+    """
+    lo, hi = 1.0, 40.0
+    for _ in range(42):
+        mid = 0.5 * (lo + hi)
+        if _phi_tail(mid, sqrt_a)[1] <= tol:
+            hi = mid
+        else:
+            lo = mid
+    j_stop = np.maximum(np.ceil((hi - x) / sqrt_a), 0.0)
+    if np.any(j_stop > _PHI_MAX_TERMS):
+        raise NonConvergenceError(
+            f"Phi_alpha vector truncation needs more than {_PHI_MAX_TERMS} factors "
+            f"at x={float(np.min(x))}",
+            achieved=math.inf,
+        )
+
+    def meets(j):
+        t = x + j * sqrt_a
+        bound = np.where(t >= 1.0, _phi_tail_bound_vec(np.maximum(t, 1.0), sqrt_a), np.inf)
+        return bound <= tol, bound
+
+    while True:
+        ok, bounds = meets(j_stop)
+        back = ok & (j_stop > 0.0) & meets(j_stop - 1.0)[0]
+        if np.all(ok) and not np.any(back):
+            return j_stop.astype(np.int64), bounds
+        j_stop += ~ok
+        j_stop -= back
+
+
+def _phi_alpha_log_rows(x: np.ndarray, j_stop: np.ndarray, sqrt_a: float) -> np.ndarray:
+    """log Phi_alpha for a block of rows, one point per row, each row summed
+    over its own first j_stop factors; the table spans the widest row."""
+    width = int(np.max(j_stop))
+    out = np.zeros(x.shape)
+    if width == 0:
+        return out
+    terms = x[:, None] + sqrt_a * np.arange(width, dtype=float)
+    csum = np.cumsum(_log_std_normal_cdf_vec(terms), axis=1)
+    rows = np.flatnonzero(j_stop > 0)
+    out[rows] = csum[rows, j_stop[rows] - 1]
+    return out
+
+
 def _phi_alpha_log_vec(x: np.ndarray, alpha: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized log Phi_alpha over an array of arguments."""
+    """log Phi_alpha and its truncation bound at every point.
+
+    Each point keeps its own truncation J, as in ``phi_alpha``.  The points
+    are sorted, so J falls along them, and cut into blocks of at most
+    _TABLE_CELLS table cells; each row's log is read at its own J from
+    a cumulative sum.  A point's value does not depend on the other points
+    of the call.  +inf gives log 1 and -inf log 0.
+    """
     x = np.asarray(x, dtype=float)
     sqrt_a = math.sqrt(alpha)
-    x_min = float(np.min(x))
-    # common J: enough that t_J >= 1 and the scalar bound holds at x_min
-    j_req = max(0, int(math.ceil((1.0 - x_min) / sqrt_a))) + 1
-    while True:
-        t = x_min + j_req * sqrt_a
-        u = 0.5 * math.erfc(t * _SQRT1_2)
-        bound_min = u / ((1.0 - math.exp(-sqrt_a * t)) * (1.0 - u))
-        if bound_min <= tol:
-            break
-        j_req += max(1, int(1.0 / sqrt_a))
-        if j_req > 1_000_000:
-            raise NonConvergenceError(
-                f"Phi_alpha vector truncation did not reach tol={tol}", achieved=bound_min
-            )
-    terms = x[:, None] + sqrt_a * np.arange(j_req + 1, dtype=float)[None, :]
-    logs = _log_std_normal_cdf_vec(terms)
-    log_value = np.sum(logs, axis=1)
-
-    t_last = terms[:, -1]
-    u_last = 0.5 * _erfc_vec(t_last * _SQRT1_2).astype(float)
-    bounds = u_last / ((1.0 - np.exp(-sqrt_a * t_last)) * (1.0 - u_last))
-    return log_value, bounds
+    flat = x.ravel()
+    log_v = np.where(flat > 0.0, 0.0, -np.inf)
+    bounds = np.zeros(flat.shape)
+    finite = np.flatnonzero(np.isfinite(flat))
+    if finite.size:
+        finite = finite[np.argsort(flat[finite], kind="stable")]
+        xs = flat[finite]
+        j_stop, bounds[finite] = _phi_alpha_truncation(xs, sqrt_a, tol)
+        start = 0
+        while start < len(xs):
+            stop = start + max(1, _TABLE_CELLS // max(int(j_stop[start]), 1))
+            log_v[finite[start:stop]] = _phi_alpha_log_rows(xs[start:stop], j_stop[start:stop], sqrt_a)
+            start = stop
+    return log_v.reshape(x.shape), bounds.reshape(x.shape)
 
 
 def product_law_cdf(x: float, alpha: float, tol: float = 1e-12) -> CdfValue:
@@ -437,11 +514,14 @@ def cdf(law: LimitLaw, x: float, tol: float = 1e-12) -> CdfValue:
 def cdf_values(law: LimitLaw, x, tol: float = 1e-10) -> np.ndarray:
     """Vectorized cdf evaluation (values only), for KS statistics and grids."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.isnan(x)):
+        raise ValueError("x must not be NaN")
     if isinstance(law, SphericalH):
         log_v, _ = _spherical_h_log_vec(x, tol)
         return np.exp(log_v)
     if isinstance(law, Gumbel):
-        return np.exp(-np.exp(-x))
+        with np.errstate(over="ignore"):
+            return np.exp(-np.exp(-x))
     if isinstance(law, ProductLaw):
         out = np.zeros(x.shape)
         pos = x > 0.0
@@ -452,7 +532,7 @@ def cdf_values(law: LimitLaw, x, tol: float = 1e-10) -> np.ndarray:
             out[pos] = np.exp(log_v)
         return out
     if isinstance(law, StandardNormal):
-        return 0.5 * _erfc_vec(-x * _SQRT1_2).astype(float)
+        return 0.5 * _erfc_array(-x * _SQRT1_2)
     raise ValueError(f"unknown limit law: {law!r}")
 
 

@@ -307,6 +307,36 @@ class TestCurveAndDispatch:
         with pytest.raises(ValueError):
             product_exact_cdf_k2(1, 1.0, quad_points=64.5)
 
+    BAD_QUAD_POINTS = [32, 64.5, math.inf, math.nan, "64"]
+
+    @pytest.mark.parametrize("bad", BAD_QUAD_POINTS)
+    def test_quad_points_validated_by_exact_log_cdf(self, bad):
+        for spec in (Spherical(5), GinibreProduct(5, 2)):
+            with pytest.raises(ValueError):
+                exact_log_cdf(spec, [1.0], quad_points=bad)
+
+    @pytest.mark.parametrize("bad", BAD_QUAD_POINTS)
+    def test_quad_points_validated_by_exact_cdf_fn(self, bad):
+        with pytest.raises(ValueError):
+            exact_cdf_fn(TruncatedUnitary(6, 3), quad_points=bad)
+
+    @pytest.mark.parametrize("bad", BAD_QUAD_POINTS)
+    def test_quad_points_validated_by_cdf_curve(self, bad):
+        with pytest.raises(ValueError):
+            cdf_curve(GinibreProduct(5, 1), [0.5, 1.0], quad_points=bad)
+
+    @pytest.mark.parametrize("bad", BAD_QUAD_POINTS)
+    def test_quad_points_validated_by_product_exact_cdf_k2(self, bad):
+        with pytest.raises(ValueError):
+            product_exact_cdf_k2(5, 2.5, quad_points=bad)
+
+    def test_valid_quad_points_do_not_change_values(self):
+        spec = GinibreProduct(5, 2)
+        assert np.array_equal(
+            exact_log_cdf(spec, [1.5, 2.5], quad_points=256), exact_log_cdf(spec, [1.5, 2.5])
+        )
+        assert cdf_curve(spec, [2.5], quad_points=np.int64(64)).values[0] == exact_cdf_fn(spec)([2.5])[0]
+
     def test_quadrature_failure_reports_achieved(self, monkeypatch):
         # a factor that needs more contour nodes than the cap raises, with
         # the truncation bound reached at the cap

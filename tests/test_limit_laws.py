@@ -1,6 +1,7 @@
 """Limit-law cdfs, quantiles, tails, and inverse-transform sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,19 @@ class TestSphericalH:
         assert cv.log_value == pytest.approx(log_vec[0], rel=1e-12, abs=0)
         assert cv.truncation_bound <= 1e-12 and bound_vec[0] <= 1e-12
 
+    def test_small_x_table_stays_in_blocks(self):
+        # x down to 0.037 makes the Poisson span about 1,100 columns; blocks
+        # of 256 rows held 2.3 MB per temporary and peaked near 24 MiB
+        x = np.linspace(0.037, 3.0, 5000)
+        cdf_values(SPHERICAL_H, x[:5])
+        tracemalloc.start()
+        try:
+            cdf_values(SPHERICAL_H, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+
     def test_below_double_range_is_zero_on_both_paths(self):
         # tau = 2500 > 745: H(x) <= e^-tau is 0 in double precision
         assert spherical_h_cdf(0.02).value == 0.0
@@ -152,6 +166,54 @@ class TestPhiAlpha:
     def test_nonconvergence_at_tiny_alpha(self):
         with pytest.raises(NonConvergenceError):
             phi_alpha(0.0, 1e-14, tol=1e-12, max_terms=1000)
+
+
+class TestPhiAlphaVector:
+    """The blocked vector log Phi_alpha behind cdf_values and quantiles."""
+
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-11])
+    def test_matches_scalar_within_both_bounds(self, alpha, tol):
+        x = np.concatenate((np.linspace(-12.0, 12.0, 241), np.random.default_rng(4).normal(0.0, 4.0, 60)))
+        log_v, bounds = limit_laws._phi_alpha_log_vec(x, alpha, tol)
+        for xi, lv, b in zip(x, log_v, bounds):
+            ref = phi_alpha(float(xi), alpha, tol)
+            assert 0.0 <= b <= tol
+            # plain left-to-right sums against fsum add rounding only
+            slack = 1e-14 * max(1.0, abs(ref.log_value))
+            assert abs(lv - ref.log_value) <= b + ref.truncation_bound + slack
+
+    @pytest.mark.parametrize("alpha", [0.01, 1.0, 100.0])
+    def test_values_do_not_depend_on_the_other_points(self, alpha):
+        rng = np.random.default_rng(5)
+        # wide enough at alpha = 0.01 to fill several blocks
+        x = np.concatenate((np.linspace(-12.0, 12.0, 2001), rng.normal(0.0, 5.0, 2000)))
+        log_v, bounds = limit_laws._phi_alpha_log_vec(x, alpha, 1e-11)
+        perm = rng.permutation(x.size)
+        log_p, bounds_p = limit_laws._phi_alpha_log_vec(x[perm], alpha, 1e-11)
+        assert np.array_equal(log_p, log_v[perm])
+        assert np.array_equal(bounds_p, bounds[perm])
+        for i in range(0, x.size, 211):
+            one, one_bound = limit_laws._phi_alpha_log_vec(x[i : i + 1], alpha, 1e-11)
+            assert one[0] == log_v[i] and one_bound[0] == bounds[i]
+
+    def test_infinite_arguments(self):
+        log_v, bounds = limit_laws._phi_alpha_log_vec(np.array([np.inf, -np.inf, 0.0]), 1.0, 1e-11)
+        assert log_v[0] == 0.0 and log_v[1] == -np.inf and np.isfinite(log_v[2])
+        assert bounds[0] == 0.0 and bounds[1] == 0.0
+
+    def test_ten_thousand_points_stay_in_blocks(self):
+        # the old whole-call table held every point times the largest J
+        x = np.exp(np.random.default_rng(6).normal(0.0, 0.3, 10_000))
+        law = ProductLaw(0.01)
+        cdf_values(law, x[:10])
+        tracemalloc.start()
+        try:
+            cdf_values(law, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestProductLaw:
@@ -373,6 +435,28 @@ class TestMonotonicityAndLimits:
     def test_support_limits(self, law, lo, hi):
         assert cdf(law, lo, tol=1e-10).value <= 1e-10
         assert cdf(law, hi, tol=1e-10).value >= 1.0 - 1e-10
+
+
+class TestCdfValuesInputs:
+    """cdf_values at the ends of the real line and at NaN, law by law."""
+
+    LAWS = [SPHERICAL_H, GUMBEL, ProductLaw(alpha=1.0), ProductLaw(alpha=0.01), STANDARD_NORMAL]
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_infinities(self, law):
+        assert np.array_equal(cdf_values(law, [np.inf, -np.inf]), [1.0, 0.0])
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_far_left_is_zero_without_warnings(self, law):
+        # pytest's filterwarnings setting turns RuntimeWarning into an error
+        assert cdf_values(law, [-1000.0])[0] == 0.0
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_nan_raises_like_the_scalar_cdf(self, law):
+        with pytest.raises(ValueError):
+            cdf(law, math.nan)
+        with pytest.raises(ValueError):
+            cdf_values(law, [0.5, math.nan])
 
 
 class TestSampling:
