@@ -9,6 +9,7 @@ stdout (or --output); diagnostics go to stderr. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -131,23 +132,11 @@ def _resolve_law(args, spec):
     return ProductLaw(alpha=regime.alpha), "product-alpha"
 
 
-class _Output:
-    def __init__(self, path: str | None):
-        self.path = path
-
-    def __enter__(self):
-        if self.path is None:
-            self.handle = sys.stdout
-            self._close = False
-        else:
-            self.handle = open(self.path, "w", encoding="utf-8", newline="")
-            self._close = True
-        return self.handle
-
-    def __exit__(self, *exc):
-        if self._close:
-            self.handle.close()
-        return False
+def _output(path: str | None):
+    """The --output file, or stdout (left open) when there is no path."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _json_17g(pairs: list[tuple[str, object]]) -> str:
@@ -188,7 +177,7 @@ def cmd_cdf(args) -> int:
         values.append(cv.value)
         if args.with_tail:
             tails.append(limit_laws.tail_asymptote(law, float(x)))
-    with _Output(args.output) as out:
+    with _output(args.output) as out:
         if args.format == "json":
             doc = {"law": args.law, "x": [float(v) for v in grid], "cdf": values}
             if args.with_tail:
@@ -214,7 +203,7 @@ def cmd_sample(args) -> int:
     )
     normalized = norming.normalize(spec, constants, batch.statistics)
     log_space = isinstance(spec, GinibreProduct)
-    with _Output(args.output) as out:
+    with _output(args.output) as out:
         if args.format == "json":
             doc = {
                 "ensemble": _ensemble_doc(spec),
@@ -250,7 +239,7 @@ def cmd_ks(args) -> int:
     spec = _build_spec(args)
     law, law_name = _resolve_law(args, spec)
     report, runtime_ms = _ks_row(spec, law, args)
-    with _Output(args.output) as out:
+    with _output(args.output) as out:
         if args.format == "csv":
             out.write("ensemble,law,reps,seed,statistic,location,critical_005,runtime_ms\n")
             out.write(
@@ -314,7 +303,7 @@ def cmd_converge(args) -> int:
     for spec in specs:
         report, runtime_ms = _ks_row(spec, law, args)
         rows.append((spec.n, report, runtime_ms))
-    with _Output(args.output) as out:
+    with _output(args.output) as out:
         if args.format == "json":
             doc = {
                 "ensemble": args.ensemble,
@@ -353,7 +342,7 @@ def cmd_norming(args) -> int:
     ]
     for key in sorted(constants.aux):
         pairs.append((key, float(constants.aux[key])))
-    with _Output(args.output) as out:
+    with _output(args.output) as out:
         if args.format == "csv":
             out.write(",".join(key for key, _ in pairs) + "\n")
             rendered = [

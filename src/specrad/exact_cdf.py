@@ -362,13 +362,17 @@ def _as_prob(log_v: float) -> float:
     return min(1.0, math.exp(log_v))
 
 
-def spherical_exact_cdf(n: int, r: float) -> float:
-    """P(spherical radius <= r) at matrix size n, exactly."""
-    n = _check_n(n)
+def _exact_cdf_at(spec: EnsembleSpec, r: float) -> float:
+    """The exact cdf of ``spec`` at one radius r >= 0; 0 at r = 0."""
     r = _check_radius(r)
     if r == 0.0:
         return 0.0
-    return _as_prob(float(_spherical_log_cdf_vec(n, np.array([r]))[0]))
+    return _as_prob(float(exact_log_cdf(spec, r)[0]))
+
+
+def spherical_exact_cdf(n: int, r: float) -> float:
+    """P(spherical radius <= r) at matrix size n, exactly."""
+    return _exact_cdf_at(Spherical(_check_n(n)), r)
 
 
 def truncated_exact_cdf(n: int, p: int, r: float) -> float:
@@ -378,20 +382,14 @@ def truncated_exact_cdf(n: int, p: int, r: float) -> float:
     r = float(r)
     if math.isnan(r) or not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    if r == 0.0:
-        return 0.0
     if r == 1.0:
         return 1.0
-    return _as_prob(float(_truncated_log_cdf_vec(spec.n, spec.p, np.array([r]))[0]))
+    return _exact_cdf_at(spec, r)
 
 
 def product_exact_cdf_k1(n: int, r: float) -> float:
     """P(single-Ginibre radius <= r) at matrix size n, exactly."""
-    n = _check_n(n)
-    r = _check_radius(r)
-    if r == 0.0:
-        return 0.0
-    return _as_prob(float(_product_k1_log_cdf_vec(n, np.array([r]))[0]))
+    return _exact_cdf_at(GinibreProduct(_check_n(n), 1), r)
 
 
 # --- k = 2 by contour inversion ----------------------------------------------
@@ -520,12 +518,10 @@ def product_exact_cdf_k2(n: int, r: float, quad_points: int = 64) -> float:
     factors agree with mpmath to 1e-12 relative.  ``quad_points`` is
     accepted and validated (an integer >= 64) but unused.
     """
-    n = _check_n(n)
+    spec = GinibreProduct(_check_n(n), 2)
     r = _check_radius(r)
     _check_quad_points(quad_points)
-    if r == 0.0:
-        return 0.0
-    return _as_prob(float(_product_log_cdf_vec(n, 2, np.array([r]))[0]))
+    return _exact_cdf_at(spec, r)
 
 
 # --- generic entry points ---------------------------------------------------

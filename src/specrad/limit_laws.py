@@ -33,12 +33,15 @@ about a third faster than at 2^15 or 2^16 cells).  So a point's value
 does not depend on the other points of the call, and working memory
 follows the block, not the call.
 
-Neither product has a closed-form inverse, so ``quantiles`` inverts the
-vector cdf numerically in the law's natural coordinate (log x for H, the
-Gaussian argument t for Phi_a, x for the normal law).  One tabulation of
-the cdf on a fixed grid gives every level a bracketing cell (Hormann and
-Leydold, ACM TOMACS 2003); the levels not yet solved then take bracketed
-Illinois steps (Dowell and Jarratt, BIT 1971) until |F(x) - q| <= tol.
+Neither product has a closed-form inverse, so one solver inverts every
+law numerically in its natural coordinate (log x for H, the Gaussian
+argument t for Phi_a, x for the normal law), and it has two callers.
+``quantiles`` runs it on the vector cdf, where one tabulation on a fixed
+grid gives every level a bracketing cell (Hormann and Leydold, ACM TOMACS
+2003).  ``quantile`` runs it on the scalar (libm) cdf at its one level,
+without the tabulation, whose set-up would cost more than it saves on
+one point.  The levels not yet solved take bracketed Illinois steps
+(Dowell and Jarratt, BIT 1971) until |F(x) - q| <= tol.
 """
 
 from __future__ import annotations
@@ -134,6 +137,13 @@ def _validate_tol(tol: float) -> float:
     return tol
 
 
+def _validate_x(x: float) -> float:
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # spherical H law
 
@@ -191,9 +201,7 @@ def spherical_h_cdf(x: float, tol: float = 1e-12, max_terms: int = 200_000) -> C
     k > K, so the bound dominates the dropped log mass).
     """
     tol = _validate_tol(tol)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
+    x = _validate_x(x)
     if x <= 0.0:
         return CdfValue(0.0, -math.inf, 0.0)
     tau = x ** (-2.0)
@@ -304,9 +312,7 @@ def _spherical_h_log_rows(tau, i, log_fact, tol):
 
 def gumbel_cdf(x: float) -> float:
     """Lambda(x) = exp(-exp(-x)), exact."""
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
+    x = _validate_x(x)
     return math.exp(-math.exp(-x))
 
 
@@ -321,14 +327,14 @@ def phi_alpha(x: float, alpha: float, tol: float = 1e-12, max_terms: int = 200_0
     u_J/(1 - r_J) <= tol * Phi(t_J), where u_J = 1 - Phi(t_J) and
     r_J = exp(-sqrt(alpha) t_J) dominates the ratio of successive tails;
     the dropped log mass is then below u_J/((1-r_J) Phi(t_J)) <= tol.
+    Where log Phi(x) < _LOG_UNDERFLOW, Phi_alpha(x) <= Phi(x) is 0 in
+    double precision, and the value is 0 with log -inf and bound 0.
     """
     tol = _validate_tol(tol)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be a positive finite real, got {alpha}")
+    x = _validate_x(x)
+    alpha = ProductLaw(alpha).alpha
+    if log_std_normal_cdf(x) < _LOG_UNDERFLOW:
+        return CdfValue(0.0, -math.inf, 0.0)
     sqrt_a = math.sqrt(alpha)
 
     logs: list[float] = []
@@ -357,6 +363,9 @@ def phi_alpha(x: float, alpha: float, tol: float = 1e-12, max_terms: int = 200_0
 _SQRT1_2 = math.sqrt(0.5)
 
 _PHI_MAX_TERMS = 1_000_000
+
+# exp of a log below this is 0.0 (e^-745.2 rounds to 0); log Phi(-30) is -454
+_LOG_UNDERFLOW = -746.0
 
 
 def _phi_tail(t: float, sqrt_a: float) -> tuple[float, float]:
@@ -452,14 +461,17 @@ def _phi_alpha_log_vec(x: np.ndarray, alpha: float, tol: float) -> tuple[np.ndar
     are sorted, so J falls along them, and cut into blocks of at most
     _TABLE_CELLS table cells; each row's log is read at its own J from
     a cumulative sum.  A point's value does not depend on the other points
-    of the call.  +inf gives log 1 and -inf log 0.
+    of the call.  +inf gives log 0, and -inf and every point with
+    log Phi(x) < _LOG_UNDERFLOW give log -inf with bound 0, as in ``phi_alpha``.
     """
     x = np.asarray(x, dtype=float)
     sqrt_a = math.sqrt(alpha)
     flat = x.ravel()
     log_v = np.where(flat > 0.0, 0.0, -np.inf)
     bounds = np.zeros(flat.shape)
-    finite = np.flatnonzero(np.isfinite(flat))
+    zero = flat < -30.0
+    zero[zero] = _log_std_normal_cdf_vec(flat[zero]) < _LOG_UNDERFLOW
+    finite = np.flatnonzero(np.isfinite(flat) & ~zero)
     if finite.size:
         finite = finite[np.argsort(flat[finite], kind="stable")]
         xs = flat[finite]
@@ -476,12 +488,8 @@ def product_law_cdf(x: float, alpha: float, tol: float = 1e-12) -> CdfValue:
     """Limit cdf of radius/n^(k/2) when k/n -> alpha:
     Phi_alpha(sqrt(alpha)/2 + 2 log(x)/sqrt(alpha)); 0 for x <= 0."""
     tol = _validate_tol(tol)
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    alpha = float(alpha)
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be a positive finite real, got {alpha}")
+    x = _validate_x(x)
+    alpha = ProductLaw(alpha).alpha
     if x <= 0.0:
         return CdfValue(0.0, -math.inf, 0.0)
     sqrt_a = math.sqrt(alpha)
@@ -497,16 +505,12 @@ def cdf(law: LimitLaw, x: float, tol: float = 1e-12) -> CdfValue:
     if isinstance(law, SphericalH):
         return spherical_h_cdf(x, tol)
     if isinstance(law, Gumbel):
-        x = float(x)
-        if math.isnan(x):
-            raise ValueError("x must not be NaN")
+        x = _validate_x(x)
         return CdfValue(gumbel_cdf(x), -math.exp(-x), 0.0)
     if isinstance(law, ProductLaw):
         return product_law_cdf(x, law.alpha, tol)
     if isinstance(law, StandardNormal):
-        x = float(x)
-        if math.isnan(x):
-            raise ValueError("x must not be NaN")
+        x = _validate_x(x)
         return CdfValue(std_normal_cdf(x), log_std_normal_cdf(x), 0.0)
     raise ValueError(f"unknown limit law: {law!r}")
 
@@ -575,160 +579,103 @@ def tail_asymptote(law: LimitLaw, x: float) -> float:
 # quantiles and sampling
 
 
-def _seed_bracket(law: LimitLaw, q_lo: float, q_hi: float) -> tuple[float, float, bool]:
-    """Starting bracket containing all quantiles in [q_lo, q_hi].
+def _seed_bracket(law: LimitLaw, q_lo: float, q_hi: float) -> tuple[float, float, float]:
+    """Bracket (lo, hi) in the law's natural coordinate u that holds every
+    quantile in [q_lo, q_hi], and the solver's first outward step for an
+    edge that turns out to be inside.
 
-    Base intervals are [1e-3, 1e3] on positive-support laws and [-8, 8]
-    otherwise, refined with certified analytic pre-brackets:
-
-      SphericalH:  H(x) <= H_1(x^-2) = exp(-x^-2) gives a lower edge, and
-                   1 - H(x) <= x^-2 / H_1(x^-2) gives an upper edge.  This
-                   keeps tau = x^-2 modest, so bracketing never evaluates
-                   the product at astronomically long Poisson spans.
-      ProductLaw:  the search runs in the Gaussian argument t = sqrt(a)/2
-                   + 2 log(x)/sqrt(a), where Phi_a(t) <= Phi(t) bounds the
-                   lower edge via the Gaussian tail.
-
-    The caller still expands outward when an edge turns out to be inside.
+      SphericalH:  u = log x in [log 1e-3, log 1e3], step log 2.
+                   H(x) <= H_1(x^-2) = exp(-x^-2) gives a lower edge, and
+                   1 - H(x) <= x^-2 / H_1(x^-2) an upper edge; so tau =
+                   x^-2 stays modest and no Poisson span is astronomical.
+      ProductLaw:  u = t = sqrt(a)/2 + 2 log(x)/sqrt(a), step 4, where
+                   Phi_a(t) <= Phi(t) bounds the lower edge.
+      StandardNormal: u = x in [-8, 8], step 4.
     """
     if isinstance(law, SphericalH):
         lo = max(1e-3, 0.98 / math.sqrt(math.log(1.0 / q_lo)))
         hi = min(1e3, 1.5 * math.sqrt(2.0 / (1.0 - q_hi)))
-        return lo, max(hi, 2.0 * lo), True
+        log_lo, log_hi = np.log([lo, max(hi, 2.0 * lo)])
+        return float(log_lo), float(log_hi), math.log(2.0)
     if isinstance(law, ProductLaw):
-        # t-space bracket (caller converts); Phi(t) <= exp(-t^2/2) for t < 0
+        # Phi(t) <= exp(-t^2/2) for t < 0
         lo = -math.sqrt(2.0 * math.log(1.0 / q_lo)) - 1.0
         hi = math.sqrt(2.0 * math.log(1.0 / (1.0 - q_hi))) + 3.0 + 1.0 / math.sqrt(law.alpha)
-        return lo, hi, False
-    return -8.0, 8.0, False
+        return lo, hi, 4.0
+    return -8.0, 8.0, 4.0
 
 
-def _product_arg_to_x(law: ProductLaw, t):
-    sqrt_a = math.sqrt(law.alpha)
-    return np.exp((np.asarray(t, dtype=float) - 0.5 * sqrt_a) * sqrt_a / 2.0)
-
-
-def quantile(law: LimitLaw, q: float, tol: float = 1e-10, max_iter: int = 500) -> float:
-    """x with |cdf(x) - q| <= tol, by bracket expansion then bisection.
-    Gumbel inverts in closed form."""
-    q = float(q)
-    if not (0.0 < q < 1.0):
-        raise ValueError(f"q must lie strictly between 0 and 1, got {q}")
-    tol = _validate_tol(tol)
-    if isinstance(law, Gumbel):
-        return -math.log(-math.log(q))
-
-    eval_tol = min(tol * 0.1, 1e-11)
-    stop_tol = tol - eval_tol
-
-    in_t_space = isinstance(law, ProductLaw)
-
-    def f(point: float) -> float:
-        if in_t_space:
-            return phi_alpha(point, law.alpha, eval_tol).value
-        return cdf(law, point, eval_tol).value
-
-    lo, hi, positive = _seed_bracket(law, q, q)
-    for _ in range(80):
-        if f(lo) <= q:
-            break
-        lo = lo / 2.0 if positive else lo - 4.0
-    else:
-        raise NonConvergenceError(f"could not bracket quantile q={q} from below")
-    for _ in range(80):
-        if f(hi) >= q:
-            break
-        hi = hi * 2.0 if positive else hi + 4.0
-    else:
-        raise NonConvergenceError(f"could not bracket quantile q={q} from above")
-
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        v = f(mid)
-        if abs(v - q) <= stop_tol:
-            return float(_product_arg_to_x(law, mid)) if in_t_space else mid
-        if v < q:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= abs(mid) * 1e-17:
-            return float(_product_arg_to_x(law, mid)) if in_t_space else mid
-    raise NonConvergenceError(
-        f"quantile bisection for q={q} did not reach tol={tol} in {max_iter} iterations"
-    )
+def _natural_cdf(law: LimitLaw, eval_tol: float):
+    """(vector F(u), scalar F(u), u -> x): the law's cdf at eval_tol in its
+    natural coordinate u (see ``_seed_bracket``) and the map back to x."""
+    if isinstance(law, SphericalH):
+        return (
+            lambda u: cdf_values(law, np.exp(u), eval_tol),
+            lambda u: spherical_h_cdf(math.exp(u), eval_tol).value,
+            np.exp,
+        )
+    if isinstance(law, ProductLaw):
+        sqrt_a = math.sqrt(law.alpha)
+        return (
+            lambda u: np.exp(_phi_alpha_log_vec(u, law.alpha, eval_tol)[0]),
+            lambda u: phi_alpha(u, law.alpha, eval_tol).value,
+            lambda u: np.exp((u - 0.5 * sqrt_a) * sqrt_a / 2.0),
+        )
+    if isinstance(law, StandardNormal):
+        return lambda u: cdf_values(law, u, eval_tol), std_normal_cdf, lambda u: u
+    raise ValueError(f"unknown limit law: {law!r}")
 
 
 # nodes of the one cdf tabulation that seeds every level's bracket in
-# ``quantiles``, and its caps on bracket expansion and solver passes
+# ``quantiles``, and the caps on bracket expansion and on its solver steps
 _QUANTILE_GRID_NODES = 257
 _EXPAND_STEPS = 64
 _SOLVE_STEPS = 200
 
 
-def quantiles(law: LimitLaw, q, tol: float = 1e-10) -> np.ndarray:
-    """Vectorized quantile: x with |cdf(x) - q| <= tol for every level.
+def _solve_quantiles(
+    law: LimitLaw, levels: np.ndarray, tol: float, *, pointwise: bool, nodes: int, max_steps: int
+) -> np.ndarray:
+    """x with |F(x) - q| <= tol for every level q of the 1-D array levels.
 
-    Works in the law's natural coordinate u: log x for SphericalH, the
-    Gaussian argument t for ProductLaw, x for StandardNormal.  Gumbel
-    inverts in closed form.
+    Works in the law's natural coordinate u, on the vector cdf, or on the
+    scalar cdf point by point when ``pointwise`` is set.
 
       1. The certified ``_seed_bracket`` of [min q, max q] is expanded
          outward, with doubling steps, until F(lo) < min q and
          F(hi) >= max q hold for evaluated values.
-      2. The vector cdf is evaluated once on _QUANTILE_GRID_NODES equally
-         spaced nodes of [lo, hi], and a binary search gives each level a
-         cell with F(left) < q <= F(right).  Binary search finds such a
-         cell even where the evaluated cdf is not monotone; a cell whose
-         values still do not bracket q (a NaN value) falls back to the
-         whole [lo, hi].
+      2. The cdf is evaluated once on ``nodes`` equally spaced nodes of
+         [lo, hi] (2 nodes: the ends only), and a binary search gives each
+         level a cell with F(left) < q <= F(right).  Binary search finds
+         such a cell even where the evaluated cdf is not monotone; a cell
+         whose values still do not bracket q (a NaN value) falls back to
+         the whole [lo, hi].
       3. The unsolved levels take Illinois steps (regula falsi that halves
          the value kept at an end retained twice in a row), a bisection
          step whenever the secant point leaves the open bracket, and the
-         vector cdf is evaluated on those levels only.
+         cdf is evaluated on those levels only.
 
     Every cdf value is computed to eval_tol = min(tol/10, 1e-11) and a
     level is accepted once |F(u) - q| <= tol - eval_tol, so the returned
     x is within tol of its level.  Raises NonConvergenceError when the
     bracket cannot be expanded, when a bracket shrinks to adjacent doubles
-    without meeting tol, or after _SOLVE_STEPS passes.
+    without meeting tol, or after max_steps Illinois steps.
     """
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if not np.all((q > 0.0) & (q < 1.0)):
-        raise ValueError("all quantile levels must lie strictly in (0, 1)")
-    tol = _validate_tol(tol)
-    if isinstance(law, Gumbel):
-        return -np.log(-np.log(q))
-    if q.size == 0:
-        return np.empty(q.shape)
-
     eval_tol = min(tol * 0.1, 1e-11)
     stop_tol = tol - eval_tol
-
-    if isinstance(law, ProductLaw):
+    vector_cdf, scalar_cdf, to_x = _natural_cdf(law, eval_tol)
+    if pointwise:
         def fvec(u: np.ndarray) -> np.ndarray:
-            return np.exp(_phi_alpha_log_vec(u, law.alpha, eval_tol)[0])
-
-        def to_x(u: np.ndarray) -> np.ndarray:
-            return _product_arg_to_x(law, u)
-    elif isinstance(law, SphericalH):
-        def fvec(u: np.ndarray) -> np.ndarray:
-            return cdf_values(law, np.exp(u), eval_tol)
-
-        to_x = np.exp
+            return np.array([scalar_cdf(v) for v in u.tolist()])
     else:
-        def fvec(u: np.ndarray) -> np.ndarray:
-            return cdf_values(law, u, eval_tol)
+        fvec = vector_cdf
 
-        def to_x(u: np.ndarray) -> np.ndarray:
-            return u
-
-    levels = q.ravel()
     q_min, q_max = float(np.min(levels)), float(np.max(levels))
 
     # 1. expand the certified seed bracket until evaluated values bracket
-    lo, hi, positive = _seed_bracket(law, q_min, q_max)
-    ends = np.log([lo, hi]) if positive else np.array([lo, hi])
-    steps = np.full(2, math.log(2.0) if positive else 4.0)
+    lo, hi, step = _seed_bracket(law, q_min, q_max)
+    ends = np.array([lo, hi])
+    steps = np.full(2, step)
     f_ends = fvec(ends)
     for _ in range(_EXPAND_STEPS):
         short = np.array([f_ends[0] >= q_min, f_ends[1] < q_max])
@@ -744,17 +691,17 @@ def quantiles(law: LimitLaw, q, tol: float = 1e-10) -> np.ndarray:
         )
 
     # 2. one tabulation of F gives each level its bracketing cell
-    nodes = np.linspace(ends[0], ends[1], _QUANTILE_GRID_NODES)
-    f_nodes = np.concatenate(([f_ends[0]], fvec(nodes[1:-1]), [f_ends[1]]))
-    right = np.clip(np.searchsorted(f_nodes, levels), 1, _QUANTILE_GRID_NODES - 1)
+    grid = np.linspace(ends[0], ends[1], nodes)
+    f_grid = np.concatenate(([f_ends[0]], fvec(grid[1:-1]), [f_ends[1]]))
+    right = np.clip(np.searchsorted(f_grid, levels), 1, nodes - 1)
     left = right - 1
-    unbracketed = ~((f_nodes[left] < levels) & (f_nodes[right] >= levels))
+    unbracketed = ~((f_grid[left] < levels) & (f_grid[right] >= levels))
     left[unbracketed] = 0
-    right[unbracketed] = _QUANTILE_GRID_NODES - 1
+    right[unbracketed] = nodes - 1
 
     u_out = np.empty(levels.shape)
-    a, b = nodes[left], nodes[right]
-    fa, fb = f_nodes[left] - levels, f_nodes[right] - levels
+    a, b = grid[left], grid[right]
+    fa, fb = f_grid[left] - levels, f_grid[right] - levels
     at_b = np.abs(fb) <= stop_tol
     at_a = ~at_b & (np.abs(fa) <= stop_tol)
     u_out[at_b] = b[at_b]
@@ -764,7 +711,7 @@ def quantiles(law: LimitLaw, q, tol: float = 1e-10) -> np.ndarray:
     active = np.flatnonzero(~(at_a | at_b))
     a, b, fa, fb, lev = a[active], b[active], fa[active], fb[active], levels[active]
     moved = np.zeros(active.shape, dtype=np.int8)  # end replaced last: -1 a, +1 b
-    for _ in range(_SOLVE_STEPS):
+    for _ in range(max_steps):
         if active.size == 0:
             break
         with np.errstate(invalid="ignore", over="ignore"):
@@ -792,9 +739,40 @@ def quantiles(law: LimitLaw, q, tol: float = 1e-10) -> np.ndarray:
     if active.size:
         raise NonConvergenceError(
             f"quantile solver left {active.size} levels above tol={tol} "
-            f"after {_SOLVE_STEPS} steps"
+            f"after {max_steps} steps"
         )
-    return to_x(u_out).reshape(q.shape)
+    return to_x(u_out)
+
+
+def quantile(law: LimitLaw, q: float, tol: float = 1e-10, max_iter: int = 500) -> float:
+    """x with |cdf(x) - q| <= tol: the ``quantiles`` solver on this one
+    level, with the scalar cdf, no tabulation and at most max_iter Illinois
+    steps.  Gumbel inverts in closed form."""
+    q = float(q)
+    if not (0.0 < q < 1.0):
+        raise ValueError(f"q must lie strictly between 0 and 1, got {q}")
+    tol = _validate_tol(tol)
+    if isinstance(law, Gumbel):
+        return -math.log(-math.log(q))
+    x = _solve_quantiles(law, np.array([q]), tol, pointwise=True, nodes=2, max_steps=max_iter)
+    return float(x[0])
+
+
+def quantiles(law: LimitLaw, q, tol: float = 1e-10) -> np.ndarray:
+    """Vectorized quantile: x with |cdf(x) - q| <= tol for every level, by
+    ``_solve_quantiles`` on the vector cdf tabulated at _QUANTILE_GRID_NODES
+    nodes.  Gumbel inverts in closed form."""
+    q = np.atleast_1d(np.asarray(q, dtype=float))
+    if not np.all((q > 0.0) & (q < 1.0)):
+        raise ValueError("all quantile levels must lie strictly in (0, 1)")
+    tol = _validate_tol(tol)
+    if isinstance(law, Gumbel):
+        return -np.log(-np.log(q))
+    if q.size == 0:
+        return np.empty(q.shape)
+    x = _solve_quantiles(law, q.ravel(), tol, pointwise=False,
+                         nodes=_QUANTILE_GRID_NODES, max_steps=_SOLVE_STEPS)
+    return x.reshape(q.shape)
 
 
 def _uniform_source(rng):
@@ -809,8 +787,6 @@ def sample_limit(law: LimitLaw, rng: RandomStream) -> float:
     u = float(gen.random())
     while u <= 0.0 or u >= 1.0:
         u = float(gen.random())
-    if isinstance(law, Gumbel):
-        return -math.log(-math.log(u))
     return quantile(law, u, 1e-10)
 
 
@@ -820,6 +796,4 @@ def sample_limit_batch(law: LimitLaw, rng: RandomStream, size: int) -> np.ndarra
         raise ValueError(f"size must be a positive integer, got {size}")
     u = _uniform_source(rng).random(int(size))
     u = np.clip(u, 1e-16, 1.0 - 1e-16)
-    if isinstance(law, Gumbel):
-        return -np.log(-np.log(u))
     return quantiles(law, u, 1e-10)

@@ -55,6 +55,16 @@ class TestCmdCdf:
         value = float(out.splitlines()[1].split(",")[1])
         assert value == limit_laws.product_law_cdf(1.0, 1.0).value
 
+    def test_product_alpha_underflow_prints_zeros(self, capsys):
+        # Phi_alpha <= Phi, which is 0 in double precision on this grid;
+        # these points used to exit 4
+        code, out, err = run_cli(
+            capsys, "cdf", "--law", "product-alpha", "--alpha", "1e-6", "--grid", "0.5:0.9:5"
+        )
+        assert code == 0
+        assert err == ""
+        assert out.splitlines() == ["x,cdf", "0.5,0", "0.6,0", "0.7,0", "0.8,0", "0.9,0"]
+
     def test_json_single_document(self, capsys):
         code, out, _ = run_cli(
             capsys, "cdf", "--law", "gumbel", "--grid", "0:1:3", "--format", "json"
@@ -84,10 +94,11 @@ class TestCmdCdf:
         assert excinfo.value.code == 2
 
     def test_nonconvergence_exit_code(self, capsys):
-        # alpha this small needs ~10^7 product factors, far past the term cap
+        # alpha this small needs ~10^7 product factors, far past the term cap,
+        # at x = 1.0000003 (Gaussian argument t = 6), where the cdf is near 1
         code, out, err = run_cli(
             capsys, "cdf", "--law", "product-alpha", "--alpha", "1e-14",
-            "--grid", "0.5:0.5:1",
+            "--grid", "1.0000003:1.0000003:1",
         )
         assert code == 4
         assert err.startswith("error:")

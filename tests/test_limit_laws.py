@@ -216,6 +216,31 @@ class TestPhiAlphaVector:
         assert peak <= 8 * 2**20
 
 
+class TestPhiAlphaUnderflow:
+    """Phi_alpha(t) <= Phi(t), which is 0 in double precision where
+    log Phi(t) < -746; these points used to raise NonConvergenceError."""
+
+    @pytest.mark.parametrize("x, alpha", [(0.9, 1e-6), (1e-300, 1e-4)])
+    def test_scalar_and_vector_give_zero(self, x, alpha):
+        cv = product_law_cdf(x, alpha)
+        assert (cv.value, cv.log_value, cv.truncation_bound) == (0.0, -math.inf, 0.0)
+        assert cdf_values(ProductLaw(alpha), [x])[0] == 0.0
+
+    @pytest.mark.parametrize("alpha", [1e-4, 1.0])
+    def test_scalar_matches_vector_across_the_cut(self, alpha):
+        # log Phi(t) = -746 near t = -38.6: certified 0 below, the product above
+        t = np.array([-1e5, -38.7, -38.6, -38.5, -38.4])
+        log_v, bounds = limit_laws._phi_alpha_log_vec(t, alpha, 1e-11)
+        for ti, lv, b in zip(t, log_v, bounds):
+            ref = phi_alpha(float(ti), alpha, 1e-11)
+            if ti <= -38.6:
+                assert (lv, b) == (ref.log_value, ref.truncation_bound) == (-math.inf, 0.0)
+            else:
+                slack = 1e-14 * abs(ref.log_value)
+                assert abs(lv - ref.log_value) <= b + ref.truncation_bound + slack
+                assert ref.value == 0.0
+
+
 class TestProductLaw:
     def test_vanishes_at_origin(self):
         assert product_law_cdf(1e-12, 1.0).value <= 1e-15
@@ -305,6 +330,42 @@ class TestQuantile:
         xs = quantiles(SPHERICAL_H, qs)
         back = cdf_values(SPHERICAL_H, xs)
         assert np.max(np.abs(back - qs)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "law",
+        [SPHERICAL_H, ProductLaw(alpha=0.01), ProductLaw(alpha=1.0), ProductLaw(alpha=100.0),
+         STANDARD_NORMAL],
+        ids=repr,
+    )
+    def test_far_levels_at_tight_tol(self, law):
+        # the solver puts the true cdf within tol of q; the check's own
+        # evaluation, truncated at 1e-12, is allowed 1e-13 more
+        for q in (1e-8, 0.5, 1.0 - 1e-8):
+            x = quantile(law, q, tol=1e-12)
+            assert abs(cdf(law, x).value - q) <= 1e-12 + 1e-13
+
+    def test_step_cap_raises(self):
+        with pytest.raises(NonConvergenceError):
+            quantile(ProductLaw(alpha=1.0), 0.3, max_iter=1)
+
+    @pytest.mark.parametrize(
+        "law", [SPHERICAL_H, ProductLaw(alpha=0.01), ProductLaw(alpha=1.0), STANDARD_NORMAL],
+        ids=repr,
+    )
+    def test_scalar_cdf_only(self, law, monkeypatch):
+        # one level costs less on the scalar cdf than on the vector kernels
+        calls = []
+        for name in ("cdf_values", "_phi_alpha_log_vec"):
+            inner = getattr(limit_laws, name)
+
+            def counted(*args, _inner=inner, **kwargs):
+                calls.append(1)
+                return _inner(*args, **kwargs)
+
+            monkeypatch.setattr(limit_laws, name, counted)
+        for q in (1e-6, 0.3, 0.999):
+            quantile(law, q)
+        assert calls == []
 
 
 LEVELS = (np.arange(5000) + 0.25 + 0.5 * np.random.default_rng(3).random(5000)) / 5000
