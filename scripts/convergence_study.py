@@ -4,8 +4,8 @@ For each size n in a ladder this compares, on one row:
 
 * exact_gap: the sup distance over the limit law's mass-span grid between
   the exactly evaluated, affinely normalized finite-n cdf and the limit
-  cdf (no sampling noise; available for the spherical family at any n,
-  the truncated family at p = n/2, and the product family at k = 1);
+  cdf, with no sampling noise (the truncated family runs at p = n/2, the
+  product family at k = 1);
 * mc_ks: the KS distance of a normalized Monte Carlo batch to the same
   limit, whose null noise floor is about 0.87/sqrt(reps).
 
@@ -25,46 +25,14 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from specrad import exact_cdf, limit_laws, stats
-from specrad.norming import (
-    GinibreProduct,
-    SmallK,
-    Spherical,
-    TruncatedUnitary,
-    product_norming,
-    truncated_norming,
-)
-
-
-def spherical_gap(n: int, grid: np.ndarray, limit: np.ndarray) -> float:
-    finite = exact_cdf.exact_cdf_fn(Spherical(n))(np.sqrt(n) * grid)
-    return float(np.max(np.abs(finite - limit)))
-
-
-def truncated_gap(n: int, grid: np.ndarray, limit: np.ndarray) -> float:
-    constants = truncated_norming(n, n // 2)
-    radii = np.clip(constants.shift + constants.scale * grid, 0.0, 1.0)
-    finite = exact_cdf.exact_cdf_fn(TruncatedUnitary(n, n // 2))(radii)
-    return float(np.max(np.abs(finite - limit)))
-
-
-def product_k1_gap(n: int, grid: np.ndarray, limit: np.ndarray) -> float:
-    constants = product_norming(n, 1, SmallK())
-    alpha_n, beta_n = constants.aux["alpha_n"], constants.aux["beta_n"]
-    # invert the squared-modulus statistic alpha_n (m - 1) - beta_n
-    arg = np.maximum(1.0 + (grid + beta_n) / alpha_n, 0.0)
-    finite = exact_cdf.exact_cdf_fn(GinibreProduct(n, 1))(np.sqrt(n * arg))
-    return float(np.max(np.abs(finite - limit)))
+from specrad import limit_laws, stats
+from specrad.norming import GinibreProduct, Spherical, TruncatedUnitary
 
 
 FAMILIES = {
-    "spherical": (limit_laws.SPHERICAL_H, Spherical, spherical_gap, "20,200,2000"),
-    "truncated": (limit_laws.GUMBEL, lambda n: TruncatedUnitary(n, n // 2),
-                  truncated_gap, "200,2000,20000"),
-    "product-k1": (limit_laws.GUMBEL, lambda n: GinibreProduct(n, 1),
-                   product_k1_gap, "100,1000,10000"),
+    "spherical": (limit_laws.SPHERICAL_H, Spherical, "20,200,2000"),
+    "truncated": (limit_laws.GUMBEL, lambda n: TruncatedUnitary(n, n // 2), "200,2000,20000"),
+    "product-k1": (limit_laws.GUMBEL, lambda n: GinibreProduct(n, 1), "100,1000,10000"),
 }
 
 
@@ -79,18 +47,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--output", default=None, help="path (default: stdout)")
     args = parser.parse_args(argv)
 
-    law, make_spec, gap_fn, default_ladder = FAMILIES[args.family]
+    law, make_spec, default_ladder = FAMILIES[args.family]
     sizes = [int(s) for s in (args.n_list or default_ladder).split(",") if s]
     grid = stats.mass_span_grid(law, points=args.grid_points)
-    limit = limit_laws.cdf_values(law, grid)
     reference = stats.law_cdf_fn(law)
 
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         out.write("family,n,exact_gap,mc_ks,critical_005\n")
         for n in sizes:
-            gap = gap_fn(n, grid, limit)
-            batch = stats.normalized_batch(make_spec(n), args.reps, args.seed, law)
+            spec = make_spec(n)
+            gap = stats._exact_limit_gap(spec, law, grid)
+            batch = stats.normalized_batch(spec, args.reps, args.seed, law)
             report = stats.ks_statistic(batch, reference)
             out.write(f"{args.family},{n},{gap:.6f},{report.statistic:.6f},"
                       f"{report.critical_005:.6f}\n")

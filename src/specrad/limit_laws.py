@@ -328,7 +328,8 @@ def phi_alpha(x: float, alpha: float, tol: float = 1e-12, max_terms: int = 200_0
     r_J = exp(-sqrt(alpha) t_J) dominates the ratio of successive tails;
     the dropped log mass is then below u_J/((1-r_J) Phi(t_J)) <= tol.
     Where log Phi(x) < _LOG_UNDERFLOW, Phi_alpha(x) <= Phi(x) is 0 in
-    double precision, and the value is 0 with log -inf and bound 0.
+    double precision, and the value is 0 with log -inf and bound 0; so it is
+    past max_terms factors where ``_phi_alpha_log_cap`` certifies the 0.
     """
     tol = _validate_tol(tol)
     x = _validate_x(x)
@@ -351,6 +352,8 @@ def phi_alpha(x: float, alpha: float, tol: float = 1e-12, max_terms: int = 200_0
             logs.append(log_std_normal_cdf(t))
         j += 1
         if j > max_terms:
+            if _phi_alpha_log_cap(x, sqrt_a) < _LOG_UNDERFLOW:
+                return CdfValue(0.0, -math.inf, 0.0)
             raise NonConvergenceError(
                 f"Phi_alpha truncation did not reach tol={tol} within {max_terms} "
                 f"factors at x={x}, alpha={alpha}",
@@ -403,13 +406,26 @@ def _log_std_normal_cdf_vec(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def _phi_alpha_log_cap(x: float, sqrt_a: float) -> float:
+    """log Phi_alpha(x) <= M log Phi(x + M sqrt_a), as the first M factors are
+    each at most Phi(x + M sqrt_a), minimized over M = 2^i while M sqrt_a <= 80
+    (beyond, x + M sqrt_a > 40 and log Phi is 0).  It rises with x."""
+    best, m = 0.0, 1.0
+    while m * sqrt_a <= 80.0:
+        best = min(best, m * log_std_normal_cdf(x + m * sqrt_a))
+        m *= 2.0
+    return best
+
+
 def _phi_alpha_truncation(x: np.ndarray, sqrt_a: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per point, the scalar path's J (the first J with t_J = x + J sqrt_a
-    >= 1 and bound(t_J) <= tol) and that bound.
+    """Per point of the sorted x, the scalar path's J (the first J with
+    t_J = x + J sqrt_a >= 1 and bound(t_J) <= tol) and that bound.
 
     The bound falls as t grows and is 0 in double precision at t = 40, so
     every J follows from the one t* where it meets tol: a scalar bisection
-    finds t*, and single steps of J settle the rounding near it.
+    finds t*, and single steps of J settle the rounding near it.  Points past
+    _PHI_MAX_TERMS factors lead; they get J = -1 and bound 0 if
+    ``_phi_alpha_log_cap`` certifies a 0 at the last of them, and raise if not.
     """
     lo, hi = 1.0, 40.0
     for _ in range(42):
@@ -419,12 +435,14 @@ def _phi_alpha_truncation(x: np.ndarray, sqrt_a: float, tol: float) -> tuple[np.
         else:
             lo = mid
     j_stop = np.maximum(np.ceil((hi - x) / sqrt_a), 0.0)
-    if np.any(j_stop > _PHI_MAX_TERMS):
+    zero = j_stop > _PHI_MAX_TERMS
+    if np.any(zero) and _phi_alpha_log_cap(float(x[zero][-1]), sqrt_a) >= _LOG_UNDERFLOW:
         raise NonConvergenceError(
             f"Phi_alpha vector truncation needs more than {_PHI_MAX_TERMS} factors "
-            f"at x={float(np.min(x))}",
+            f"at x={float(x[zero][-1])}",
             achieved=math.inf,
         )
+    j_stop[zero] = -1.0
 
     def meets(j):
         t = x + j * sqrt_a
@@ -433,9 +451,10 @@ def _phi_alpha_truncation(x: np.ndarray, sqrt_a: float, tol: float) -> tuple[np.
 
     while True:
         ok, bounds = meets(j_stop)
+        ok |= zero
         back = ok & (j_stop > 0.0) & meets(j_stop - 1.0)[0]
         if np.all(ok) and not np.any(back):
-            return j_stop.astype(np.int64), bounds
+            return j_stop.astype(np.int64), np.where(zero, 0.0, bounds)
         j_stop += ~ok
         j_stop -= back
 
@@ -461,8 +480,8 @@ def _phi_alpha_log_vec(x: np.ndarray, alpha: float, tol: float) -> tuple[np.ndar
     are sorted, so J falls along them, and cut into blocks of at most
     _TABLE_CELLS table cells; each row's log is read at its own J from
     a cumulative sum.  A point's value does not depend on the other points
-    of the call.  +inf gives log 0, and -inf and every point with
-    log Phi(x) < _LOG_UNDERFLOW give log -inf with bound 0, as in ``phi_alpha``.
+    of the call.  +inf gives log 0, and -inf, points with log Phi(x) < _LOG_UNDERFLOW
+    and points certified 0 past the term cap give log -inf with bound 0, as in ``phi_alpha``.
     """
     x = np.asarray(x, dtype=float)
     sqrt_a = math.sqrt(alpha)
@@ -476,7 +495,8 @@ def _phi_alpha_log_vec(x: np.ndarray, alpha: float, tol: float) -> tuple[np.ndar
         finite = finite[np.argsort(flat[finite], kind="stable")]
         xs = flat[finite]
         j_stop, bounds[finite] = _phi_alpha_truncation(xs, sqrt_a, tol)
-        start = 0
+        start = int(np.count_nonzero(j_stop < 0))
+        log_v[finite[:start]] = -np.inf
         while start < len(xs):
             stop = start + max(1, _TABLE_CELLS // max(int(j_stop[start]), 1))
             log_v[finite[start:stop]] = _phi_alpha_log_rows(xs[start:stop], j_stop[start:stop], sqrt_a)
@@ -544,9 +564,9 @@ def upper_tail(law: LimitLaw, x: float, tol: float = 1e-12) -> float:
     """1 - cdf(x) with relative accuracy preserved through the log form:
     -expm1(log_value) never subtracts two near-1 doubles."""
     if isinstance(law, Gumbel):
-        return -math.expm1(-math.exp(-float(x)))
+        return -math.expm1(-math.exp(-_validate_x(x)))
     if isinstance(law, StandardNormal):
-        return 0.5 * math.erfc(float(x) * _SQRT1_2)
+        return 0.5 * math.erfc(_validate_x(x) * _SQRT1_2)
     cv = cdf(law, x, tol)
     return -math.expm1(cv.log_value)
 

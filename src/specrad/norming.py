@@ -352,3 +352,14 @@ def normalize(spec: EnsembleSpec, constants: NormingConstants, raw):
     if np.ndim(raw) == 0:
         return float(out)
     return out
+
+
+def _denormalize(constants: NormingConstants, z) -> np.ndarray:
+    """Inverse of `normalize`: the raw statistic whose normalized value is z.
+    A LOG_SPACE affine value shift + scale*z <= 0 lies below every radius; it
+    is floored at 1e-300 before the log, far in the left tail, with no warning."""
+    affine = constants.shift + constants.scale * np.asarray(z, dtype=float)
+    if constants.pre_transform is PreTransform.LOG_SPACE:
+        aux = constants.aux
+        return aux["log_shift"] + np.log(np.maximum(affine, 1e-300)) / aux.get("log_multiplier", 1.0)
+    return affine

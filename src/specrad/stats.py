@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import limit_laws
+from . import exact_cdf, limit_laws
 from .limit_laws import (
     Gumbel,
     LimitLaw,
@@ -29,6 +29,7 @@ from .norming import (
     SmallK,
     Spherical,
     TruncatedUnitary,
+    _denormalize,
     norming_for,
     normalize,
 )
@@ -263,3 +264,17 @@ def mass_span_grid(law: LimitLaw, points: int = 200, lo: float = 1e-4,
     if x_lo > 0.0:
         return np.geomspace(x_lo, x_hi, points)
     return np.linspace(x_lo, x_hi, points)
+
+
+def _exact_limit_gap(spec: EnsembleSpec, law: LimitLaw, grid=None) -> float:
+    """sup over the grid (default mass_span_grid(law)) of |F_n - F|, F_n the
+    exact cdf of the statistic normalized toward law (family and regime
+    checked as in normalized_batch) and F the limit cdf."""
+    grid = mass_span_grid(law) if grid is None else np.asarray(grid, dtype=float)
+    raw = _denormalize(norming_for(spec, _check_law_family(spec, law)), grid)
+    if isinstance(spec, GinibreProduct):
+        raw = np.exp(raw)
+    elif isinstance(spec, TruncatedUnitary):
+        raw = np.clip(raw, 0.0, 1.0)
+    finite = exact_cdf.exact_cdf_fn(spec)(raw)
+    return float(np.max(np.abs(finite - limit_laws.cdf_values(law, grid))))

@@ -4,17 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from specrad import exact_cdf, limit_laws
-from specrad.norming import (
-    SmallK,
-    Spherical,
-    TruncatedUnitary,
-    GinibreProduct,
-    product_norming,
-    truncated_norming,
-)
-from specrad.stats import mass_span_grid
-
 
 def ks_distance(values: np.ndarray, cdf_fn) -> float:
     """Two-sided KS distance between a sample and a vectorized cdf."""
@@ -23,38 +12,3 @@ def ks_distance(values: np.ndarray, cdf_fn) -> float:
     f = np.asarray(cdf_fn(ordered), dtype=float)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))
-
-
-def sup_grid_distance(grid: np.ndarray, values_a, values_b) -> float:
-    return float(np.max(np.abs(np.asarray(values_a) - np.asarray(values_b))))
-
-
-def spherical_limit_gap(n: int) -> float:
-    """sup_x |F_n(sqrt(n) x) - H(x)| over the standard mass-span grid."""
-    grid = mass_span_grid(limit_laws.SPHERICAL_H)
-    finite = exact_cdf.exact_cdf_fn(Spherical(n))(np.sqrt(n) * grid)
-    limit = np.array([limit_laws.spherical_h_cdf(x).value for x in grid])
-    return sup_grid_distance(grid, finite, limit)
-
-
-def truncated_limit_gap(n: int) -> float:
-    """sup_x |F_{n,n/2}(A_n + B_n x) - Lambda(x)| over the Gumbel grid."""
-    p = n // 2
-    nc = truncated_norming(n, p)
-    grid = mass_span_grid(limit_laws.GUMBEL)
-    r = np.clip(nc.shift + nc.scale * grid, 0.0, 1.0)
-    finite = exact_cdf.exact_cdf_fn(TruncatedUnitary(n, p))(r)
-    limit = np.array([limit_laws.gumbel_cdf(x) for x in grid])
-    return sup_grid_distance(grid, finite, limit)
-
-
-def product_k1_limit_gap(n: int) -> float:
-    """sup_x |P(alpha_n (m - 1) - beta_n <= x) - Lambda(x)|, m = R_max^2 / n."""
-    nc = product_norming(n, 1, SmallK())
-    alpha, beta = nc.aux["alpha_n"], nc.aux["beta_n"]
-    grid = mass_span_grid(limit_laws.GUMBEL)
-    arg = np.maximum(1.0 + (grid + beta) / alpha, 0.0)
-    r = np.sqrt(n * arg)
-    finite = exact_cdf.exact_cdf_fn(GinibreProduct(n, 1))(r)
-    limit = np.array([limit_laws.gumbel_cdf(x) for x in grid])
-    return sup_grid_distance(grid, finite, limit)

@@ -30,8 +30,6 @@ from specrad.norming import GinibreProduct, Spherical, TruncatedUnitary
 from specrad.samplers import SampleBatch, run_monte_carlo
 from specrad.specfun import digamma, poisson_cdf, reg_inc_beta, trigamma
 
-from _util import product_k1_limit_gap, spherical_limit_gap, truncated_limit_gap
-
 
 def _verdict(ok: bool, label: str, detail: str) -> str:
     line = f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}"
@@ -91,7 +89,7 @@ def test_criterion_04_product_k2_sampler_matches_exact_cdf():
 
 def test_criterion_05_spherical_limit_convergence():
     start = time.perf_counter()
-    gaps = [spherical_limit_gap(n) for n in (20, 200, 2000)]
+    gaps = [stats._exact_limit_gap(Spherical(n), SPHERICAL_H) for n in (20, 200, 2000)]
     elapsed = time.perf_counter() - start
     ok = gaps[0] > gaps[1] > gaps[2] and gaps[2] <= 0.02 and elapsed < 60.0
     line = _verdict(ok, "criterion 5",
@@ -103,7 +101,8 @@ def test_criterion_05_spherical_limit_convergence():
 
 def test_criterion_06_truncated_limit_convergence():
     start = time.perf_counter()
-    gaps = [truncated_limit_gap(n) for n in (200, 2000, 20_000)]
+    gaps = [stats._exact_limit_gap(TruncatedUnitary(n, n // 2), GUMBEL)
+            for n in (200, 2000, 20_000)]
     elapsed = time.perf_counter() - start
     decreasing = gaps[0] > gaps[1] > gaps[2]
     ok = decreasing and gaps[2] <= 0.05 and elapsed < 60.0
@@ -117,7 +116,7 @@ def test_criterion_06_truncated_limit_convergence():
 
 def test_criterion_07_product_k1_limit_convergence():
     start = time.perf_counter()
-    gaps = [product_k1_limit_gap(n) for n in (100, 1000, 10_000)]
+    gaps = [stats._exact_limit_gap(GinibreProduct(n, 1), GUMBEL) for n in (100, 1000, 10_000)]
     elapsed = time.perf_counter() - start
     decreasing = gaps[0] > gaps[1] > gaps[2]
     ok = decreasing and gaps[2] <= 0.1 and elapsed < 60.0

@@ -65,6 +65,16 @@ class TestCmdCdf:
         assert err == ""
         assert out.splitlines() == ["x,cdf", "0.5,0", "0.6,0", "0.7,0", "0.8,0", "0.9,0"]
 
+    def test_product_alpha_zeros_past_the_term_cap(self, capsys):
+        # alpha = 1e-14 needs ~10^7 factors here; the cap certificate shows
+        # the value is 0 (this grid used to exit 4)
+        code, out, err = run_cli(
+            capsys, "cdf", "--law", "product-alpha", "--alpha", "1e-14", "--grid", "0.5:1:3"
+        )
+        assert code == 0
+        assert err == ""
+        assert out.splitlines() == ["x,cdf", "0.5,0", "0.75,0", "1,0"]
+
     def test_json_single_document(self, capsys):
         code, out, _ = run_cli(
             capsys, "cdf", "--law", "gumbel", "--grid", "0:1:3", "--format", "json"

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from specrad import exact_cdf
+from specrad import exact_cdf, stats
 from specrad.errors import QuadratureError
 from specrad.exact_cdf import (
     CdfCurve,
@@ -23,10 +23,9 @@ from specrad.exact_cdf import (
     spherical_exact_cdf,
     truncated_exact_cdf,
 )
+from specrad.limit_laws import GUMBEL, SPHERICAL_H
 from specrad.norming import GinibreProduct, Spherical, TruncatedUnitary
 from specrad.specfun import reg_inc_beta
-
-from _util import product_k1_limit_gap, spherical_limit_gap, truncated_limit_gap
 
 
 class TestClosedForms:
@@ -241,7 +240,7 @@ class TestMonotoneGrids:
 
 class TestNormalizedConvergence:
     def test_spherical_gap_decreases(self):
-        gaps = [spherical_limit_gap(n) for n in (20, 200, 2000)]
+        gaps = [stats._exact_limit_gap(Spherical(n), SPHERICAL_H) for n in (20, 200, 2000)]
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[2] <= 0.02
 
@@ -250,11 +249,12 @@ class TestNormalizedConvergence:
         # from the Gumbel limit over this range; the gap is not yet
         # shrinking at n = 2*10^4 (see the acceptance suite) but must stay
         # bounded and reproduce these levels.
-        gaps = [truncated_limit_gap(n) for n in (200, 2000, 20000)]
+        gaps = [stats._exact_limit_gap(TruncatedUnitary(n, n // 2), GUMBEL)
+                for n in (200, 2000, 20000)]
         assert gaps == pytest.approx([0.0283, 0.0603, 0.0720], abs=5e-4)
 
     def test_product_k1_gap_values(self):
-        gaps = [product_k1_limit_gap(n) for n in (100, 1000, 10000)]
+        gaps = [stats._exact_limit_gap(GinibreProduct(n, 1), GUMBEL) for n in (100, 1000, 10000)]
         assert gaps == pytest.approx([0.0562, 0.0627, 0.0673], abs=5e-4)
         assert gaps[2] <= 0.1
 

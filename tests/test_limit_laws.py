@@ -164,8 +164,9 @@ class TestPhiAlpha:
             assert abs(coarse.log_value - fine.log_value) <= coarse.truncation_bound
 
     def test_nonconvergence_at_tiny_alpha(self):
+        # at x = 4 the cap certificate is only -26.8, so the value is not 0
         with pytest.raises(NonConvergenceError):
-            phi_alpha(0.0, 1e-14, tol=1e-12, max_terms=1000)
+            phi_alpha(4.0, 1e-14, tol=1e-12, max_terms=1000)
 
 
 class TestPhiAlphaVector:
@@ -239,6 +240,29 @@ class TestPhiAlphaUnderflow:
                 slack = 1e-14 * abs(ref.log_value)
                 assert abs(lv - ref.log_value) <= b + ref.truncation_bound + slack
                 assert ref.value == 0.0
+
+
+class TestPhiAlphaCapCertificate:
+    """Past the term caps, log Phi_alpha(t) <= M log Phi(t + M sqrt(alpha))
+    over M = 2^i certifies the 0 of double precision; these calls used to
+    raise NonConvergenceError."""
+
+    def test_certificate_values(self):
+        caps = [limit_laws._phi_alpha_log_cap(t, 1e-7) for t in (2.0, 4.0)]
+        assert caps == pytest.approx([-32727.2, -26.81], rel=1e-4)
+
+    def test_certified_zeros_on_both_paths(self):
+        for cv in (product_law_cdf(1.0, 1e-14), phi_alpha(2.0, 1e-14)):
+            assert (cv.value, cv.log_value, cv.truncation_bound) == (0.0, -math.inf, 0.0)
+        assert cdf_values(ProductLaw(1e-14), [1.0])[0] == 0.0
+        log_v, bounds = limit_laws._phi_alpha_log_vec(np.array([3.0, -1.0, 2.0]), 1e-14, 1e-10)
+        assert np.array_equal(log_v, [-np.inf] * 3) and np.array_equal(bounds, [0.0] * 3)
+
+    def test_uncertified_vector_point_still_raises(self):
+        # one point certified 0, one (t = 6, cdf near 1) not; the scalar
+        # path's uncertified point is in test_nonconvergence_at_tiny_alpha
+        with pytest.raises(NonConvergenceError):
+            cdf_values(ProductLaw(1e-14), [1.0, 1.0000003])
 
 
 class TestProductLaw:
@@ -518,6 +542,8 @@ class TestCdfValuesInputs:
             cdf(law, math.nan)
         with pytest.raises(ValueError):
             cdf_values(law, [0.5, math.nan])
+        with pytest.raises(ValueError):
+            upper_tail(law, math.nan)
 
 
 class TestSampling:

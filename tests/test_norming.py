@@ -15,6 +15,7 @@ from specrad.norming import (
     SmallK,
     Spherical,
     TruncatedUnitary,
+    _denormalize,
     ab_functions,
     default_regime,
     normalize,
@@ -221,6 +222,19 @@ class TestNormalize:
         for spec, constants, grid in cases:
             values = normalize(spec, constants, grid)
             assert np.all(np.diff(values) > 0.0)
+
+    @pytest.mark.parametrize("spec, regime, z", [
+        (Spherical(30), None, np.geomspace(0.3, 10.0, 25)),
+        (TruncatedUnitary(101, 26), None, np.linspace(-3.0, 8.0, 25)),
+        (GinibreProduct(100, 1), SmallK(), np.linspace(-3.0, 8.0, 25)),
+        (GinibreProduct(1000, 2), SmallK(), np.linspace(-3.0, 8.0, 25)),
+        (GinibreProduct(100, 100), ProportionalK(alpha=1.0), np.geomspace(0.2, 5.0, 25)),
+        (GinibreProduct(20, 2), ProportionalK(alpha=0.1), np.geomspace(0.2, 5.0, 25)),
+        (GinibreProduct(50, 500), LargeK(), np.linspace(-4.0, 4.0, 24)),
+    ])
+    def test_denormalize_inverts_normalize(self, spec, regime, z):
+        constants = norming_for(spec, regime)
+        assert normalize(spec, constants, _denormalize(constants, z)) == pytest.approx(z, rel=1e-12)
 
     def test_overflow_error_on_misspecified_regime(self):
         spec = GinibreProduct(100, 100)

@@ -8,6 +8,7 @@ replicate stream is a pure function of (seed, replicate index).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -323,3 +324,46 @@ class TestMassSpanGrid:
         assert grid.size == 10
         assert grid[0] == limit_laws.quantile(GUMBEL, 0.01)
         assert grid[-1] == limit_laws.quantile(GUMBEL, 0.99)
+
+
+class TestExactLimitGap:
+    """The exact-vs-limit sup gap shared by the acceptance criteria and
+    scripts/convergence_study.py."""
+
+    @pytest.mark.parametrize("spec, law", [
+        (Spherical(20), GUMBEL),
+        (TruncatedUnitary(20, 10), SPHERICAL_H),
+        (GinibreProduct(20, 2), ProductLaw(alpha=0.5)),
+        (GinibreProduct(20, 2), SphericalH()),
+    ])
+    def test_family_law_mismatch_raises(self, spec, law):
+        with pytest.raises(ValueError):
+            stats._exact_limit_gap(spec, law)
+
+    @pytest.mark.parametrize("spec, law, grid", [
+        # the SmallK affine value 1 + (z + beta_n)/alpha_n is <= 0 below
+        # z = -(alpha_n + beta_n), about -24 at n = 100
+        (GinibreProduct(100, 1), GUMBEL, np.array([-200.0, -50.0, -24.5, 0.0, 2.0])),
+        # the Phi_alpha statistic exp(L - (k/2) log n) is the affine value itself
+        (GinibreProduct(20, 2), ProductLaw(alpha=0.1), np.array([-1.0, 0.0, 1.0, 2.0])),
+    ])
+    def test_nonpositive_affine_values_add_nothing_and_warn_nothing(self, spec, law, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gap = stats._exact_limit_gap(spec, law, grid)
+        # the k=2 kernel groups points by call, so the last bits may move
+        assert gap == pytest.approx(stats._exact_limit_gap(spec, law, grid[-2:]), rel=1e-12)
+
+    @pytest.mark.parametrize("spec, law, want", [
+        # n gap is near 0.14 in the Phi_alpha regime
+        (GinibreProduct(20, 2), ProductLaw(alpha=0.1), 0.00676),
+        # still growing with n, as criterion 7's k = 1 gaps do
+        (GinibreProduct(100, 2), GUMBEL, 0.0556),
+    ])
+    def test_k2_gap(self, spec, law, want):
+        assert stats._exact_limit_gap(spec, law) == pytest.approx(want, abs=5e-5)
+
+    def test_default_grid_is_the_mass_span_grid(self):
+        spec = TruncatedUnitary(60, 30)
+        assert stats._exact_limit_gap(spec, GUMBEL) == stats._exact_limit_gap(
+            spec, GUMBEL, mass_span_grid(GUMBEL))
