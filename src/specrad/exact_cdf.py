@@ -17,26 +17,31 @@ The logs are accurate down to log(1e-320); a cdf below that floor may come
 out as -inf or as any log below the floor, and the probability is 0.
 
 Each point's table covers only its own window, mean +/- 45 sd (the cut
-mass is below 1e-440), or the whole support at small sizes.  A table is
-built from the step ratios pmf(i)/pmf(i-1), summed outward from the
-point's mean, so its error does not grow with n.  Points are sorted by
-their mean and cut into blocks whose rows x union-width stays within
-_BLOCK_CELLS cells (one row when a window alone is wider), so working
-memory follows that budget and not how far apart the points lie.
+mass is below 1e-440).  A table is built from the step ratios
+pmf(i)/pmf(i-1), summed outward from the point's mean, so its error does
+not grow with n.  Points are sorted by their mean and cut into blocks
+whose rows x union-width stays within _BLOCK_CELLS cells (one row when a
+window alone is wider), so working memory follows that budget and not how
+far apart the points lie.
 
 For product k=1 and truncated, two Chernoff bounds skip the table.  With
 J the last factor's index (n or p), a bound on J P(X <= J-1) below the
 floor certifies every factor as 1 (log 0), and one on P(X >= J), which
 bounds every factor, certifies the product as 0 (-inf).
 
-The k=2 factor P(S_j <= x), x = log r^2, S_j = log s1 + log s2 with s1,
-s2 ~ Gamma(j), has no pmf table but has the mgf M(z) = (Gamma(j+z)/Gamma(j))^2.
-The trapezoidal rule inverts it on the line Re z = theta through the saddle
-point of M(z) e^{-zx}, with step and node count from bounds for relative
-error 2^-53 (Abate and Whitt 1992; Trefethen and Weideman 2014): theta < 0
-gives the factor and theta > 0 its complement, so neither tail is lost to
-1 - p.  The Chernoff bound M(theta) e^{-theta x} scales each sum, skips
-factors that are 1, and certifies products that are 0.
+For every k >= 2 the product factor P(S_j <= x), x = log r^2, S_j a sum of
+k logs of Gamma(j) variables, has no pmf table but has the mgf
+M(z) = (Gamma(j+z)/Gamma(j))^k.  The trapezoidal rule inverts it on the
+line Re z = theta through the saddle point of M(z) e^{-zx}, with step and
+node count from bounds for relative error 2^-53 (Abate and Whitt 1992;
+Trefethen and Weideman 2014): theta < 0 gives the factor and theta > 0 its
+complement, so neither tail is lost to 1 - p.  The Chernoff bound
+M(theta) e^{-theta x} scales each sum, skips factors that are 1, and
+certifies products that are 0.
+
+Every public entry takes radii.  `_statistic_log_cdf` takes the statistic
+that `run_monte_carlo` returns: the radius, and for products the log
+radius, which the contour reads as x = 2 s with no exp/log round trip.
 """
 
 from __future__ import annotations
@@ -66,7 +71,7 @@ _LOG_ZERO_CUT = math.log(1e-320)
 # below exp(-45^2/2) ~ 1e-440, beyond the 1e-320 floor
 _WINDOW_SD = 45.0
 _WINDOW_PAD = 100
-_FULL_SUPPORT_LIMIT = 4096
+_LOG_R_CAP = math.log(1e150)
 # cells (rows x columns) of one pmf block: at 2^16 cells the temporaries
 # of _factor_log_sum stay in cache, and peak memory no longer follows how
 # far apart a call's points lie
@@ -217,21 +222,14 @@ def _sums_outward(steps: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _spherical_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
     """log of prod_j P(Binomial(n, u) >= j) for each r; -inf where 0."""
-    r = np.asarray(r, dtype=float)
     out = np.full(r.shape, -np.inf)
     pos = r > 0.0
-    if not np.any(pos):
-        return out
     # r^2 must stay finite; past 1e150 every factor is 1 - O(n r^-2) = 1
     rp = np.minimum(r[pos], 1e150)
     log_u = 2.0 * np.log(rp) - np.log1p(rp**2)
     log_1mu = -np.log1p(rp**2)
     mu = n * np.exp(log_u)
-    if n <= _FULL_SUPPORT_LIMIT:
-        lo = np.zeros(rp.shape, dtype=np.int64)
-        hi = np.full(rp.shape, n, dtype=np.int64)
-    else:
-        lo, hi = _windows(mu, np.sqrt(np.maximum(mu * (1.0 - mu / n), 1.0)), n)
+    lo, hi = _windows(mu, np.sqrt(np.maximum(mu * (1.0 - mu / n), 1.0)), n)
     # pmf(i)/pmf(i-1) = (n-i+1)/i * u/(1-u)
     out[pos] = _windowed_log_sums(
         lo, hi, mu, log_u - log_1mu, lambda i: np.log((n - i + 1.0) / i), n
@@ -240,15 +238,10 @@ def _spherical_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
 
 
 def _truncated_log_cdf_vec(n: int, p: int, r: np.ndarray) -> np.ndarray:
-    """log of prod_{j<=p} P(NegBinomial(n-p, r^2) >= j); -inf where 0."""
-    r = np.asarray(r, dtype=float)
+    """log of prod_{j<=p} P(NegBinomial(n-p, r^2) >= j); -inf where 0, 0 from r = 1."""
     out = np.full(r.shape, -np.inf)
-    if np.any((r < 0.0) | (r > 1.0)):
-        raise ValueError("truncated-ensemble radius must lie in [0, 1]")
     out[r >= 1.0] = 0.0
     interior = (r > 0.0) & (r < 1.0)
-    if not np.any(interior):
-        return out
     rp = r[interior]
     m = n - p
     if m == 1:
@@ -315,17 +308,12 @@ def _truncated_kernel(n: int, p: int, rp: np.ndarray) -> np.ndarray:
     return res
 
 
-def _product_k1_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
-    """log of prod_{j<=n} P(Poisson(r^2) >= j); -inf where 0."""
-    r = np.asarray(r, dtype=float)
-    out = np.full(r.shape, -np.inf)
-    pos = r > 0.0
-    if not np.any(pos):
-        return out
-    # clamping keeps y finite; the Chernoff test below certifies these radii
-    rp = np.minimum(r[pos], 1e150)
-    y = rp**2
-    log_y = 2.0 * np.log(rp)
+def _product_k1_log_cdf_vec(n: int, s: np.ndarray) -> np.ndarray:
+    """log of prod_{j<=n} P(Poisson(r^2) >= j) at log radii s = log r; -inf where 0."""
+    # clamping r at 1e150 keeps the Poisson mean y = r^2 finite; the
+    # Chernoff tests below certify these radii, and r = 0 as 0
+    log_y = 2.0 * np.minimum(s, _LOG_R_CAP)
+    y = np.exp(log_y)
 
     # Chernoff: P(Poisson(y) <= k) <= e^-y (e y/k)^k for 0 < k < y.  Once n
     # times that bound at k = n-1 is below the 1e-320 floor, every factor
@@ -341,19 +329,16 @@ def _product_k1_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
     res = np.where(null, -np.inf, 0.0)
     rest = ~sure & ~null
     res[rest] = _product_k1_kernel(n, y[rest], log_y[rest])
-    out[pos] = res
-    return out
+    return res
 
 
 def _product_k1_kernel(n: int, y: np.ndarray, log_y: np.ndarray) -> np.ndarray:
     """The same log-product from windowed Poisson(y) pmf tables, y = r^2 > 0."""
     sd = np.sqrt(np.maximum(y, 1.0))
     lo, hi = _windows(y, sd)
-    full = (y + _WINDOW_SD * sd + _WINDOW_PAD < _FULL_SUPPORT_LIMIT) & (n <= _FULL_SUPPORT_LIMIT)
-    lo[full] = 0
-    hi = np.maximum(hi, np.where(full, n, n + _WINDOW_PAD))
     # pmf(i)/pmf(i-1) = y/i
-    return _windowed_log_sums(lo, hi, y, log_y, lambda i: -np.log(i), n)
+    return _windowed_log_sums(lo, np.maximum(hi, n + _WINDOW_PAD), y, log_y,
+                              lambda i: -np.log(i), n)
 
 
 def _as_prob(log_v: float) -> float:
@@ -363,10 +348,8 @@ def _as_prob(log_v: float) -> float:
 
 
 def _exact_cdf_at(spec: EnsembleSpec, r: float) -> float:
-    """The exact cdf of ``spec`` at one radius r >= 0; 0 at r = 0."""
+    """The exact cdf of ``spec`` at one radius r >= 0."""
     r = _check_radius(r)
-    if r == 0.0:
-        return 0.0
     return _as_prob(float(exact_log_cdf(spec, r)[0]))
 
 
@@ -382,8 +365,6 @@ def truncated_exact_cdf(n: int, p: int, r: float) -> float:
     r = float(r)
     if math.isnan(r) or not (0.0 <= r <= 1.0):
         raise ValueError(f"r must lie in [0, 1], got {r}")
-    if r == 1.0:
-        return 1.0
     return _exact_cdf_at(spec, r)
 
 
@@ -392,7 +373,7 @@ def product_exact_cdf_k1(n: int, r: float) -> float:
     return _exact_cdf_at(GinibreProduct(_check_n(n), 1), r)
 
 
-# --- k = 2 by contour inversion ----------------------------------------------
+# --- k >= 2 by contour inversion ---------------------------------------------
 
 # relative error the contour sums aim at: 2^-53 (log 36.7) and two nats
 _CONTOUR_LOG_EPS = 38.7
@@ -496,13 +477,15 @@ def _contour_log_factors(a: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
     return logs
 
 
-def _product_log_cdf_vec(n: int, k: int, r: np.ndarray) -> np.ndarray:
-    """log of prod_{j<=n} P(S_j <= 2 log r), S_j a sum of k logs of Gamma(j)
-    variables; -inf where 0.  Points go in groups of <= _CONTOUR_CELLS factors."""
-    out = np.full(r.shape, -np.inf)
-    pos = np.flatnonzero(r > 0.0)
-    # saddles w ~ e^(x/k) <= 1e40 keep Gamma's recurrence finite; past that every factor is 1
-    x = np.minimum(2.0 * np.log(r[pos]), 92.0 * k)
+def _product_log_cdf_vec(n: int, k: int, s: np.ndarray) -> np.ndarray:
+    """log of prod_{j<=n} P(S_j <= 2 s) at 1-d log radii s, S_j a sum of k logs of
+    Gamma(j) variables; -inf where 0.  Points go in groups of <= _CONTOUR_CELLS factors."""
+    out = np.full(s.shape, -np.inf)
+    pos = np.flatnonzero(s > -np.inf)
+    # saddles w ~ e^(x/k) <= 1e40 keep Gamma's recurrence finite; past that
+    # every factor is 1.  Below x = -800 k, P(S_1 <= x) <= k e^(x/k) puts the
+    # product under the floor, and the clip keeps the saddle search finite
+    x = np.clip(2.0 * s[pos], -800.0 * k, 92.0 * k)
     step = max(1, _CONTOUR_CELLS // n)
     for start in range(0, pos.size, step):
         a, xs = np.broadcast_arrays(np.arange(1.0, n + 1.0), x[start : start + step, None])
@@ -551,27 +534,49 @@ def _check_radius(r: float) -> float:
     return r
 
 
-def exact_log_cdf(spec: EnsembleSpec, r, quad_points: int = 64) -> np.ndarray:
-    """Vectorized exact log cdf for any supported ensemble.
+def _statistic_log_cdf(spec: EnsembleSpec, s) -> np.ndarray:
+    """log P(T <= s) for the statistic T that `run_monte_carlo` returns: the
+    radius, and for GinibreProduct the natural-log radius.  s may be any real
+    array and the output has its shape: -inf below the support, 0 above it.
+    NaN raises ValueError."""
+    s = np.asarray(s, dtype=float)
+    if np.any(np.isnan(s)):
+        raise ValueError("the exact cdf is undefined at NaN")
+    flat = s.ravel()
+    if isinstance(spec, Spherical):
+        out = _spherical_log_cdf_vec(spec.n, flat)
+    elif isinstance(spec, TruncatedUnitary):
+        out = _truncated_log_cdf_vec(spec.n, spec.p, flat)
+    elif isinstance(spec, GinibreProduct) and spec.k == 1:
+        out = _product_k1_log_cdf_vec(spec.n, flat)
+    elif isinstance(spec, GinibreProduct):
+        out = _product_log_cdf_vec(spec.n, spec.k, flat)
+    else:
+        raise ValueError(f"unknown ensemble spec: {spec!r}")
+    return out.reshape(s.shape)
 
-    For GinibreProduct the argument is the radius (not the log-radius) and
-    only k in {1, 2} is supported; larger k has no closed finite-n form
-    here and is covered by Monte Carlo.  ``quad_points`` is validated
-    (an integer >= 64) but unused.
+
+def _cdf_from_log(log_v: np.ndarray) -> np.ndarray:
+    """Probabilities from exact log cdfs: 0 below the floor, at most 1."""
+    return np.where(log_v < _LOG_ZERO_CUT, 0.0, np.exp(np.minimum(log_v, 0.0)))
+
+
+def exact_log_cdf(spec: EnsembleSpec, r, quad_points: int = 64) -> np.ndarray:
+    """Vectorized exact log cdf at radii r (any shape, returned at least 1-d)
+    for any supported ensemble, including GinibreProduct at every k.
+
+    The argument is the radius for every family, products included; NaN
+    raises ValueError, and truncated radii must lie in [0, 1].
+    ``quad_points`` is validated (an integer >= 64) but unused.
     """
     _check_quad_points(quad_points)
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if isinstance(spec, Spherical):
-        return _spherical_log_cdf_vec(spec.n, r)
-    if isinstance(spec, TruncatedUnitary):
-        return _truncated_log_cdf_vec(spec.n, spec.p, r)
+    if isinstance(spec, TruncatedUnitary) and np.any((r < 0.0) | (r > 1.0)):
+        raise ValueError("truncated-ensemble radius must lie in [0, 1]")
     if isinstance(spec, GinibreProduct):
-        if spec.k == 1:
-            return _product_k1_log_cdf_vec(spec.n, r)
-        if spec.k == 2:
-            return _product_log_cdf_vec(spec.n, 2, r)
-        raise ValueError(f"exact product cdf supports k in {{1, 2}}, got k={spec.k}")
-    raise ValueError(f"unknown ensemble spec: {spec!r}")
+        with np.errstate(divide="ignore"):
+            r = np.log(np.maximum(r, 0.0))
+    return _statistic_log_cdf(spec, r)
 
 
 def exact_cdf_fn(spec: EnsembleSpec, quad_points: int = 64):
@@ -579,10 +584,7 @@ def exact_cdf_fn(spec: EnsembleSpec, quad_points: int = 64):
     _check_quad_points(quad_points)
 
     def fn(r):
-        log_v = exact_log_cdf(spec, r, quad_points)
-        with np.errstate(over="ignore"):
-            vals = np.where(log_v < _LOG_ZERO_CUT, 0.0, np.exp(np.minimum(log_v, 0.0)))
-        return vals
+        return _cdf_from_log(exact_log_cdf(spec, r, quad_points))
 
     return fn
 

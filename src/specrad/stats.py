@@ -267,14 +267,11 @@ def mass_span_grid(law: LimitLaw, points: int = 200, lo: float = 1e-4,
 
 
 def _exact_limit_gap(spec: EnsembleSpec, law: LimitLaw, grid=None) -> float:
-    """sup over the grid (default mass_span_grid(law)) of |F_n - F|, F_n the
-    exact cdf of the statistic normalized toward law (family and regime
-    checked as in normalized_batch) and F the limit cdf."""
+    """sup over the grid (default mass_span_grid(law)) of |F_n - F|, F the
+    limit cdf and F_n the exact cdf of the normalized statistic (family and
+    regime checked as in normalized_batch), read at the sampler's statistic
+    (the log radius for products) that each grid point denormalizes to."""
     grid = mass_span_grid(law) if grid is None else np.asarray(grid, dtype=float)
     raw = _denormalize(norming_for(spec, _check_law_family(spec, law)), grid)
-    if isinstance(spec, GinibreProduct):
-        raw = np.exp(raw)
-    elif isinstance(spec, TruncatedUnitary):
-        raw = np.clip(raw, 0.0, 1.0)
-    finite = exact_cdf.exact_cdf_fn(spec)(raw)
+    finite = exact_cdf._cdf_from_log(exact_cdf._statistic_log_cdf(spec, raw))
     return float(np.max(np.abs(finite - limit_laws.cdf_values(law, grid))))

@@ -11,6 +11,9 @@ k=1 product curves sit 0.056/0.063/0.067 over n in {1e2, 1e3, 1e4} (below
 the 0.1 level bound but likewise not yet decreasing).  Both checks assert
 the stated monotone-decrease requirement anyway so the failures stay
 visible rather than being masked.
+
+Criteria 8 and 9 each have an exact companion: the same regimes read from
+the exact product cdf, with no Monte Carlo noise floor.
 """
 
 import math
@@ -145,6 +148,23 @@ def test_criterion_08_product_equal_k_convergence():
     assert ok, line
 
 
+def test_criterion_08_exact_companion():
+    # the noise-free gaps behind criterion 8, at alpha = k/n in {0.1, 1, 10}:
+    # the exact cdf approaches Phi_alpha at the rate 1/n
+    start = time.perf_counter()
+    rows = {alpha: [stats._exact_limit_gap(GinibreProduct(n, round(alpha * n)), ProductLaw(alpha))
+                    for n in (50, 100, 200)] for alpha in (0.1, 1.0, 10.0)}
+    elapsed = time.perf_counter() - start
+    ok = all(g[0] > g[1] > g[2] and all(0.12 <= n * x <= 0.16 for n, x in zip((50, 100, 200), g))
+             for g in rows.values())
+    line = _verdict(ok, "criterion 8 (exact)",
+                    "product k=alpha n exact-vs-Phi_alpha sup gaps at n=50/100/200, "
+                    + "; ".join(f"alpha={a:g}: " + "/".join(f"{x:.5f}" for x in g)
+                                for a, g in rows.items())
+                    + f" (decreasing, n gap in [0.12, 0.16]), {elapsed:.1f}s")
+    assert ok, line
+
+
 def test_criterion_09_product_large_k_convergence():
     start = time.perf_counter()
     reference = stats.law_cdf_fn(STANDARD_NORMAL)
@@ -159,6 +179,18 @@ def test_criterion_09_product_large_k_convergence():
     line = _verdict(ok, "criterion 9",
                     f"product n=50 large-k KS vs normal {ks[0]:.4f} >= {ks[1]:.4f}, "
                     f"last <= 0.05, {elapsed:.1f}s (<120s)")
+    assert ok, line
+
+
+def test_criterion_09_exact_companion():
+    # the noise-free gaps behind criterion 9's two Monte Carlo KS values
+    start = time.perf_counter()
+    gaps = [stats._exact_limit_gap(GinibreProduct(50, k), STANDARD_NORMAL) for k in (500, 2500)]
+    elapsed = time.perf_counter() - start
+    ok = gaps[0] > gaps[1]
+    line = _verdict(ok, "criterion 9 (exact)",
+                    f"product n=50 exact-vs-normal sup gaps {gaps[0]:.5f} > {gaps[1]:.5f}, "
+                    f"{elapsed:.1f}s")
     assert ok, line
 
 

@@ -7,6 +7,7 @@ seeds (the sampled fractions are frozen, the exact cdf is recomputed).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from specrad.exact_cdf import (
 )
 from specrad.limit_laws import GUMBEL, SPHERICAL_H
 from specrad.norming import GinibreProduct, Spherical, TruncatedUnitary
+from specrad.samplers import run_monte_carlo
 from specrad.specfun import reg_inc_beta
 
 
@@ -297,9 +299,49 @@ class TestCurveAndDispatch:
             math.log(truncated_exact_cdf(10, 5, 0.9)), rel=1e-13
         )
 
-    def test_k3_not_supported(self):
-        with pytest.raises(ValueError):
-            exact_log_cdf(GinibreProduct(5, 3), 1.0)
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_every_k_reads_the_log_radius(self, k):
+        # the radius entry is the log-radius entry after one log, bit for bit
+        spec = GinibreProduct(6, k)
+        r = np.concatenate([[0.0], np.geomspace(0.05, 1e3, 40), [math.inf]])
+        with np.errstate(divide="ignore"):
+            s = np.log(r)
+        got = exact_log_cdf(spec, r)
+        assert np.array_equal(got, exact_cdf._statistic_log_cdf(spec, s))
+        assert np.all(np.diff(got) >= 0.0) and got[0] == -np.inf and got[-1] == 0.0
+
+    SPECS = [Spherical(10), TruncatedUnitary(10, 5), GinibreProduct(10, 1),
+             GinibreProduct(10, 2), GinibreProduct(10, 3)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_nan_raises(self, spec):
+        # every path returned log 0 (cdf 0) for NaN
+        for call in (lambda r: exact_log_cdf(spec, r), exact_cdf_fn(spec),
+                     lambda r: cdf_curve(spec, r),
+                     lambda r: exact_cdf._statistic_log_cdf(spec, r)):
+            with pytest.raises(ValueError, match="NaN"):
+                call([math.nan, 0.5])
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_input_shape_is_kept(self, spec):
+        # k >= 2 raised IndexError on 2-d input
+        r = np.array([[0.3, 0.6], [0.9, 1.0]]) * (1.0 if spec.family == "truncated" else 4.0)
+        flat = exact_log_cdf(spec, r.ravel())
+        assert np.array_equal(exact_log_cdf(spec, r), flat.reshape(2, 2))
+        assert np.array_equal(exact_cdf_fn(spec)(r), exact_cdf_fn(spec)(r.ravel()).reshape(2, 2))
+        s = np.log(r) if spec.family == "product" else r
+        assert np.array_equal(exact_cdf._statistic_log_cdf(spec, s), flat.reshape(2, 2))
+        assert exact_cdf._statistic_log_cdf(spec, s[0, 0]).shape == ()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=repr)
+    def test_statistic_entry_takes_any_real(self, spec):
+        # log 0 below the support and log 1 above it (the spherical log cdf
+        # is -n/r^2 there, with r capped at 1e150), with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = exact_cdf._statistic_log_cdf(spec, [-math.inf, -1e300, -1e5, 1e300, math.inf])
+        assert np.all(got[:3] == -np.inf)
+        assert np.all(np.abs(got[3:]) <= 1e-290)
 
     def test_quad_points_validation(self):
         with pytest.raises(ValueError):
@@ -699,9 +741,110 @@ class TestProductK2Contour:
     def test_k1_matches_poisson_kernel(self, n):
         # S_j = log s1 at k=1, so the kernel gives prod_j P(Poisson(r^2) >= j);
         # below the floor either path may return any log below it
-        r = np.sqrt(n) * np.linspace(0.5, 1.6, 60)
-        want = exact_cdf._product_k1_log_cdf_vec(n, r)
-        got = exact_cdf._product_log_cdf_vec(n, 1, r)
+        s = np.log(np.sqrt(n) * np.linspace(0.5, 1.6, 60))
+        want = exact_cdf._product_k1_log_cdf_vec(n, s)
+        got = exact_cdf._product_log_cdf_vec(n, 1, s)
         live = want > exact_cdf._LOG_ZERO_CUT
         assert np.all(got[~live] <= exact_cdf._LOG_ZERO_CUT)
         np.testing.assert_allclose(got[live], want[live], rtol=1e-12, atol=1e-300)
+
+
+# log P(S <= x), S a sum of k logs of Gamma(j) variables, at x = k psi(j) +
+# z sqrt(k psi'(j)) for z in (-3, -2, -1, -0.5, 0, 0.5, 1, 2, 3): from the
+# Meijer-G closed form P(s_1...s_k <= e^x) = G^{k,1}_{1,k+1}(e^x | 1; j,...,j, 0)
+# / Gamma(j)^k (Springer and Thompson, SIAM J. Appl. Math. 1970), by mpmath's
+# meijerg at 40 digits; independent of the mgf the contour inverts
+MEIJER_G_FACTOR_REFERENCE = {
+    (3, 1): [(-8.395971401942148, -4.9199126455901725),
+             (-6.174529932862965, -3.2985499848308284),
+             (-3.9530884637837818, -1.8786184825980792),
+             (-2.8423677292441902, -1.2802224130899365),
+             (-1.7316469947045987, -0.7822888782493328),
+             (-0.6209262601650072, -0.405508595124792),
+             (0.48979447437458434, -0.1625062032832143),
+             (2.7112359434537674, -0.005964081437898516),
+             (4.93267741253295, -3.525883178019883e-06)],
+    (3, 2): [(-2.904562019588537, -5.255761707657557),
+             (-1.5135903446272239, -3.402838188699748),
+             (-0.12261866966591128, -1.8620679440142842),
+             (0.572867167814745, -1.2461736106989494),
+             (1.2683530052954013, -0.7536467144197235),
+             (1.9638388427760576, -0.39466025192066806),
+             (2.659324680256714, -0.16777833820721547),
+             (4.050296355218027, -0.010768955254994262),
+             (5.441268030179339, -6.477018467313463e-05)],
+    (3, 5): [(2.073824460789915, -5.667688593054478),
+             (2.8886673089584107, -3.522233621846144),
+             (3.7035101571269062, -1.849493682883702),
+             (4.110931581211154, -1.2170407990299372),
+             (4.518353005295402, -0.7294446332072749),
+             (4.92577442937965, -0.38509850334784296),
+             (5.333195853463898, -0.17093522542170433),
+             (6.148038701632393, -0.0154731132707706),
+             (6.962881549800889, -0.00029732551662281205)],
+    (3, 10): [(5.070178818484253, -5.9106166987237785),
+              (5.631871801389557, -3.5908392082560607),
+              (6.1935647842948605, -1.8452211326062187),
+              (6.474411275747512, -1.2038869726106003),
+              (6.755257767200163, -0.7182195331759876),
+              (7.036104258652815, -0.38036288437388144),
+              (7.316950750105466, -0.17188780225477107),
+              (7.87864373301077, -0.017778294594658732),
+              (8.440336715916073, -0.0005129617134359099)],
+    (5, 1): [(-11.48968413882588, -5.155851718296538),
+             (-8.621815534053141, -3.3680234340039656),
+             (-5.753946929280403, -1.864722511340334),
+             (-4.320012626894034, -1.2553221858459915),
+             (-2.886078324507664, -0.7622201079410063),
+             (-1.4521440221212951, -0.39846516659603465),
+             (-0.018209719734926022, -0.16673427748170006),
+             (2.849658885037812, -0.009131243466345978),
+             (5.71752748981055, -2.8620084555553684e-05)],
+    (5, 2): [(-3.273288456679064, -5.473860293104279),
+             (-1.4775517459552638, -3.4656055767407015),
+             (0.31818496476853597, -1.854147949059561),
+             (1.216053320130436, -1.2295312935655327),
+             (2.113921675492336, -0.7400616479187783),
+             (3.0117900308542356, -0.3894760872980392),
+             (3.909658386216136, -0.16979170547754027),
+             (5.705395096939935, -0.013339616987624247),
+             (7.501131807663736, -0.00016125304709545282)],
+    (5, 5): [(4.3747155614262, -5.841729674732961),
+             (5.426673155003801, -3.5713894298996047),
+             (6.478630748581402, -1.8462192662478132),
+             (7.004609545370202, -1.2073909676511498),
+             (7.530588342159002, -0.7212497584121116),
+             (8.056567138947802, -0.3816691200953874),
+             (8.582545935736603, -0.17166910693338902),
+             (9.634503529314204, -0.017150135573930525),
+             (10.686461122891805, -0.00044600217643075524)],
+    (5, 10): [(9.083335376859797, -6.048121432414302),
+              (9.8084778996844, -3.629288708728689),
+              (10.533620422509003, -1.8435771539608168),
+              (10.896191683921304, -1.1973767277958403),
+              (11.258762945333604, -0.7125487503377017),
+              (11.621334206745905, -0.3778842032245942),
+              (11.983905468158206, -0.17223709931310877),
+              (12.709047990982809, -0.01895872051968472),
+              (13.434190513807412, -0.0006562551375580054)],
+}
+
+
+class TestProductEveryK:
+    """The contour kernel at k >= 3, where the cdf has no other exact path here."""
+
+    @pytest.mark.parametrize("k, j", sorted(MEIJER_G_FACTOR_REFERENCE))
+    def test_factor_logs_against_meijer_g(self, k, j):
+        x, want = np.array(MEIJER_G_FACTOR_REFERENCE[k, j]).T
+        got = exact_cdf._contour_log_factors(np.full((x.size, 1), float(j)), x[:, None], k)
+        np.testing.assert_allclose(got[:, 0], want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n, k, reps", [(20, 3, 5000), (50, 10, 5000), (50, 500, 2000)])
+    def test_sampler_within_dkw_line(self, n, k, reps):
+        # sup |F_reps - F| exceeds the line with probability at most 1e-6
+        # (Dvoretzky-Kiefer-Wolfowitz with Massart's constant)
+        spec = GinibreProduct(n, k)
+        batch = run_monte_carlo(spec, reps, 11)
+        report = stats.ks_statistic(
+            batch, lambda s: exact_cdf._cdf_from_log(exact_cdf._statistic_log_cdf(spec, s)))
+        assert report.statistic < math.sqrt(math.log(2.0 / 1e-6) / (2.0 * reps))

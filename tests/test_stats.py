@@ -354,14 +354,20 @@ class TestExactLimitGap:
         # the k=2 kernel groups points by call, so the last bits may move
         assert gap == pytest.approx(stats._exact_limit_gap(spec, law, grid[-2:]), rel=1e-12)
 
-    @pytest.mark.parametrize("spec, law, want", [
+    @pytest.mark.parametrize("spec, law, want, abs_tol", [
         # n gap is near 0.14 in the Phi_alpha regime
-        (GinibreProduct(20, 2), ProductLaw(alpha=0.1), 0.00676),
+        (GinibreProduct(20, 2), ProductLaw(alpha=0.1), 0.00676, 5e-5),
         # still growing with n, as criterion 7's k = 1 gaps do
-        (GinibreProduct(100, 2), GUMBEL, 0.0556),
+        (GinibreProduct(100, 2), GUMBEL, 0.0556, 5e-5),
+        (GinibreProduct(100, 3), GUMBEL, 0.0546, 5e-5),
+        # log radii near 975, past exp's overflow at 709: the exact cdf reads
+        # them as they are
+        (GinibreProduct(50, 500), STANDARD_NORMAL, 0.00204, 1e-5),
     ])
-    def test_k2_gap(self, spec, law, want):
-        assert stats._exact_limit_gap(spec, law) == pytest.approx(want, abs=5e-5)
+    def test_product_gap(self, spec, law, want, abs_tol):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stats._exact_limit_gap(spec, law) == pytest.approx(want, abs=abs_tol)
 
     def test_default_grid_is_the_mass_span_grid(self):
         spec = TruncatedUnitary(60, 30)
