@@ -24,10 +24,15 @@ whose rows x union-width stays within _BLOCK_CELLS cells (one row when a
 window alone is wider), so working memory follows that budget and not how
 far apart the points lie.
 
-For product k=1 and truncated, two Chernoff bounds skip the table.  With
-J the last factor's index (n or p), a bound on J P(X <= J-1) below the
-floor certifies every factor as 1 (log 0), and one on P(X >= J), which
-bounds every factor, certifies the product as 0 (-inf).
+One driver, `_pmf_log_sums`, does this for all three families; each states
+only its pmf mean, sd and step ratios, and for product k=1 and truncated a
+Chernoff exponent.  With J the last factor's index (n or p), a bound on
+J P(X <= J-1) below the floor certifies every factor as 1 (log 0), and one
+on P(X >= J), which bounds every factor, certifies the product as 0
+(-inf); neither builds a table.  A truncated point whose table would pass
+_WIDE_CELLS cells takes one incomplete-beta call per factor instead, as the
+complement 1 - I_{1-x}(m, j) wherever that is at most 1/2, so factors near
+1 keep their relative accuracy.
 
 For every k >= 2 the product factor P(S_j <= x), x = log r^2, S_j a sum of
 k logs of Gamma(j) variables, has no pmf table but has the mgf
@@ -38,6 +43,9 @@ Trefethen and Weideman 2014): theta < 0 gives the factor and theta > 0 its
 complement, so neither tail is lost to 1 - p.  The Chernoff bound
 M(theta) e^{-theta x} scales each sum, skips factors that are 1, and
 certifies products that are 0.
+
+No value depends on the order of a call's points, and a k >= 2 value does
+not depend on the other points at all.
 
 Every public entry takes radii.  `_statistic_log_cdf` takes the statistic
 that `run_monte_carlo` returns: the radius, and for products the log
@@ -71,6 +79,9 @@ _LOG_ZERO_CUT = math.log(1e-320)
 # below exp(-45^2/2) ~ 1e-440, beyond the 1e-320 floor
 _WINDOW_SD = 45.0
 _WINDOW_PAD = 100
+# a truncated point whose table would pass this many cells takes one
+# incomplete-beta call per factor instead
+_WIDE_CELLS = 2_000_000
 _LOG_R_CAP = math.log(1e150)
 # cells (rows x columns) of one pmf block: at 2^16 cells the temporaries
 # of _factor_log_sum stay in cache, and peak memory no longer follows how
@@ -141,15 +152,6 @@ def _factor_log_sum(log_pmf: np.ndarray, i0: int, j_max: int) -> np.ndarray:
     return np.sum(logs, axis=1)
 
 
-def _windows(center: np.ndarray, sd: np.ndarray, hi_cap: int | None = None):
-    """Per-point pmf windows [lo, hi]: mean +/- 45 sd plus a pad, in [0, hi_cap]."""
-    lo = np.maximum(np.floor(center - _WINDOW_SD * sd).astype(np.int64) - _WINDOW_PAD, 0)
-    hi = np.ceil(center + _WINDOW_SD * sd).astype(np.int64) + _WINDOW_PAD
-    if hi_cap is not None:
-        hi = np.minimum(hi, hi_cap)
-    return lo, np.maximum(hi, lo)
-
-
 def _plan_blocks(lo: np.ndarray, hi: np.ndarray, budget: int = _BLOCK_CELLS):
     """Split points, sorted by pmf mean or node count, into consecutive blocks.
 
@@ -171,9 +173,18 @@ def _plan_blocks(lo: np.ndarray, hi: np.ndarray, budget: int = _BLOCK_CELLS):
         start += rows
 
 
-def _windowed_log_sums(lo, hi, centre, row_step, col_step, j_max: int) -> np.ndarray:
-    """_factor_log_sum for every point, from its own pmf window [lo, hi],
-    in cache-sized blocks of points.
+def _pmf_log_sums(j_max: int, centre, sd, row_step, col_step, cap: int | None = None,
+                  log_tail=None, skip=None) -> np.ndarray:
+    """_factor_log_sum for every point, X with pmf mean ``centre`` and sd
+    ``sd``, from a table over the point's own window, in cache-sized blocks.
+
+    ``log_tail(k)``, a per-point Chernoff exponent, bounds log P(X <= k)
+    below the mean and log P(X >= k) above it.  With it a point is log 0
+    where its mean is above j_max - 1 and j_max P(X <= j_max - 1) is below
+    the floor, and -inf where its mean is below j_max and P(X >= j_max),
+    which bounds every factor, is.  Points in ``skip`` that neither settles
+    come back NaN.  Every other point reads mean +/- 45 sd plus a pad, cut
+    at ``cap`` (the support's end) or else reaching j_max + pad.
 
     A block's ``log_pmf[r, c]`` is log pmf(i0 + c) - log pmf(a) of point
     ``rows[r]``, a = round(centre) clipped to the block: cumulative sums of
@@ -184,9 +195,18 @@ def _windowed_log_sums(lo, hi, centre, row_step, col_step, j_max: int) -> np.nda
     on the other rows of its block.  ``col_step`` maps an array of integers
     i to its column term; it is tabulated once over the union of all windows.
     """
-    res = np.empty(lo.shape)
-    if lo.size == 0:
+    res = np.full(centre.shape, np.nan)
+    if log_tail is not None:
+        res[(centre > j_max - 1) & (math.log(j_max) + log_tail(j_max - 1) < _LOG_ZERO_CUT)] = 0.0
+        res[(centre < j_max) & (log_tail(j_max) < _LOG_ZERO_CUT)] = -np.inf
+    idx = np.flatnonzero(np.isnan(res) if skip is None else np.isnan(res) & ~skip)
+    if idx.size == 0:
         return res
+    centre, sd, row_step = centre[idx], sd[idx], row_step[idx]
+    lo = np.maximum(np.floor(centre - _WINDOW_SD * sd).astype(np.int64) - _WINDOW_PAD, 0)
+    hi = np.ceil(centre + _WINDOW_SD * sd).astype(np.int64) + _WINDOW_PAD
+    hi = np.minimum(hi, cap) if cap is not None else np.maximum(hi, j_max + _WINDOW_PAD)
+    hi = np.maximum(hi, lo)
     base = int(np.min(lo))
     table = col_step(np.arange(base + 1, int(np.max(hi)) + 1, dtype=float))
     anchor = np.rint(centre)
@@ -198,7 +218,7 @@ def _windowed_log_sums(lo, hi, centre, row_step, col_step, j_max: int) -> np.nda
             row_step[rows, None] + table[i0 - base : i1 - base],
             np.clip(anchor[rows] - i0, 0, i1 - i0),
         )
-        res[rows] = _factor_log_sum(log_pmf, i0, j_max)
+        res[idx[rows]] = _factor_log_sum(log_pmf, i0, j_max)
     return res
 
 
@@ -229,11 +249,9 @@ def _spherical_log_cdf_vec(n: int, r: np.ndarray) -> np.ndarray:
     log_u = 2.0 * np.log(rp) - np.log1p(rp**2)
     log_1mu = -np.log1p(rp**2)
     mu = n * np.exp(log_u)
-    lo, hi = _windows(mu, np.sqrt(np.maximum(mu * (1.0 - mu / n), 1.0)), n)
     # pmf(i)/pmf(i-1) = (n-i+1)/i * u/(1-u)
-    out[pos] = _windowed_log_sums(
-        lo, hi, mu, log_u - log_1mu, lambda i: np.log((n - i + 1.0) / i), n
-    )
+    out[pos] = _pmf_log_sums(n, mu, np.sqrt(np.maximum(mu * (1.0 - mu / n), 1.0)),
+                             log_u - log_1mu, lambda i: np.log((n - i + 1.0) / i), cap=n)
     return out
 
 
@@ -248,129 +266,80 @@ def _truncated_log_cdf_vec(n: int, p: int, r: np.ndarray) -> np.ndarray:
         # I_x(j, 1) = x^j, so the log product is p(p+1)/2 * log x
         out[interior] = p * (p + 1) * np.log(rp)
         return out
-    sure, null = _negbin_certificates(m, p, rp)
-    res = np.where(null, -np.inf, 0.0)
-    rest = ~sure & ~null
-    res[rest] = _truncated_kernel(n, p, rp[rest])
+    x = rp**2
+    log_x = 2.0 * np.log(rp)
+    log_1mx = np.log1p(-rp) + np.log1p(rp)
+
+    # Chernoff, t = k/(x(m+k)) in E[t^X] = ((1-x)/(1-xt))^m
+    def log_tail(k):
+        return (k * (log_x + math.log1p(m / k)) if k else 0.0) + m * (log_1mx + math.log1p(k / m))
+
+    sd = np.sqrt(m * x) / (1.0 - x)
+    # pmf(i)/pmf(i-1) = (i+m-1)/i * x
+    res = _pmf_log_sums(p, m * x / (1.0 - x), sd, log_x, lambda i: np.log((i + m - 1.0) / i),
+                        log_tail=log_tail, skip=(1 + _WINDOW_SD) * sd > _WIDE_CELLS)
+    # rare huge-dispersion corner: one incomplete-beta call per factor
+    for i in np.flatnonzero(np.isnan(res)):
+        res[i] = _truncated_wide_log_cdf(m, p, float(rp[i]))
     out[interior] = res
     return out
 
 
-def _negbin_certificates(m: int, p: int, r: np.ndarray):
-    """Masks (sure, null) for X ~ NegBinomial(m, r^2): every factor
-    P(X >= j), j <= p, is 1 where p P(X <= p-1) is below the floor (log 0),
-    and at most P(X >= p), so the product is 0 where that is."""
-    log_x = 2.0 * np.log(r)
-    log_1mx = np.log1p(-r) + np.log1p(r)
-
-    # Chernoff, t = k/(x(m+k)) in E[t^X] = ((1-x)/(1-xt))^m: log P(X <= k)
-    # for k < mean and log P(X >= k) for k > mean are at most this
-    def chernoff(k):
-        tail = k * (log_x + math.log1p(m / k)) if k else 0.0
-        return tail + m * (log_1mx + math.log1p(k / m))
-
-    # the mean m x/(1-x) exceeds k where x (m+k) > k
-    sure = (r**2 * (m + p - 1) > p - 1) & (math.log(p) + chernoff(p - 1) < _LOG_ZERO_CUT)
-    null = (r**2 * (m + p) < p) & (chernoff(p) < _LOG_ZERO_CUT)
-    return sure, null
-
-
-def _truncated_kernel(n: int, p: int, rp: np.ndarray) -> np.ndarray:
-    """The same log-product from NegBinomial(n-p, x) pmf tables, 0 < r < 1."""
-    m = n - p
-    x = rp**2
-    mean = m * x / (1.0 - x)
-    sd = np.sqrt(m * x) / (1.0 - x)
-    wide = (1 + _WINDOW_SD) * sd > 2_000_000.0
-    res = np.empty(rp.shape)
-
-    sel = np.flatnonzero(~wide)
-    lo, hi = _windows(mean[sel], sd[sel])
-    # pmf(i)/pmf(i-1) = (i+m-1)/i * x
-    res[sel] = _windowed_log_sums(
-        lo, np.maximum(hi, p + _WINDOW_PAD), mean[sel], 2.0 * np.log(rp[sel]),
-        lambda i: np.log((i + m - 1.0) / i), p,
-    )
-
-    for idx_s in np.flatnonzero(wide):
-        # rare huge-dispersion corner: per-factor incomplete-beta calls
-        acc = 0.0
-        for j in range(1, p + 1):
-            f = reg_inc_beta(float(x[idx_s]), float(j), float(m))
-            if f <= 0.0:
-                acc = -math.inf
-                break
-            acc += math.log(f)
-            if acc < _LOG_ZERO_CUT:
-                acc = -math.inf
-                break
-        res[idx_s] = acc
-    return res
+def _truncated_wide_log_cdf(m: int, p: int, r: float) -> float:
+    """The truncated log-product at one radius 0 < r < 1 from p incomplete-beta
+    calls: each factor as 1 - I_delta(m, j), delta = 1 - r^2, where that
+    complement is at most 1/2, so factors near 1 keep their relative accuracy."""
+    delta = (1.0 - r) * (1.0 + r)
+    acc = 0.0
+    for j in range(1, p + 1):
+        c = reg_inc_beta(delta, float(m), float(j))
+        if c <= 0.5:
+            acc += math.log1p(-c)
+        else:
+            f = reg_inc_beta(r * r, float(j), float(m))
+            acc = acc + math.log(f) if f > 0.0 else -math.inf
+        if acc < _LOG_ZERO_CUT:
+            return -math.inf
+    return acc
 
 
 def _product_k1_log_cdf_vec(n: int, s: np.ndarray) -> np.ndarray:
     """log of prod_{j<=n} P(Poisson(r^2) >= j) at log radii s = log r; -inf where 0."""
     # clamping r at 1e150 keeps the Poisson mean y = r^2 finite; the
-    # Chernoff tests below certify these radii, and r = 0 as 0
+    # certificates settle these radii, and r = 0 as 0
     log_y = 2.0 * np.minimum(s, _LOG_R_CAP)
     y = np.exp(log_y)
 
-    # Chernoff: P(Poisson(y) <= k) <= e^-y (e y/k)^k for 0 < k < y.  Once n
-    # times that bound at k = n-1 is below the 1e-320 floor, every factor
-    # P(Poisson(y) >= j), j <= n, is 1 and the log-product is 0 to double
-    # precision, so those points skip the pmf kernel
-    k = n - 1
-    chernoff = -y + (k * (1.0 + log_y - math.log(k)) if k > 0 else 0.0) + math.log(n)
-    sure = (y > k) & (chernoff < _LOG_ZERO_CUT)
-    # the lower twin: every factor is at most P(Poisson(y) >= n) <=
-    # e^-y (e y/n)^n for y < n; below the floor the product is 0
-    lower = -y + n * (1.0 + log_y - math.log(n))
-    null = (y < n) & (lower < _LOG_ZERO_CUT)
-    res = np.where(null, -np.inf, 0.0)
-    rest = ~sure & ~null
-    res[rest] = _product_k1_kernel(n, y[rest], log_y[rest])
-    return res
+    # Chernoff: P(Poisson(y) <= k) for k < y, and P(Poisson(y) >= k) for
+    # k > y, are at most e^-y (e y/k)^k
+    def log_tail(k):
+        return -y + (k * (1.0 + log_y - math.log(k)) if k > 0 else 0.0)
 
-
-def _product_k1_kernel(n: int, y: np.ndarray, log_y: np.ndarray) -> np.ndarray:
-    """The same log-product from windowed Poisson(y) pmf tables, y = r^2 > 0."""
-    sd = np.sqrt(np.maximum(y, 1.0))
-    lo, hi = _windows(y, sd)
     # pmf(i)/pmf(i-1) = y/i
-    return _windowed_log_sums(lo, np.maximum(hi, n + _WINDOW_PAD), y, log_y,
-                              lambda i: -np.log(i), n)
-
-
-def _as_prob(log_v: float) -> float:
-    if log_v < _LOG_ZERO_CUT:
-        return 0.0
-    return min(1.0, math.exp(log_v))
+    return _pmf_log_sums(n, y, np.sqrt(np.maximum(y, 1.0)), log_y, lambda i: -np.log(i),
+                         log_tail=log_tail)
 
 
 def _exact_cdf_at(spec: EnsembleSpec, r: float) -> float:
     """The exact cdf of ``spec`` at one radius r >= 0."""
     r = _check_radius(r)
-    return _as_prob(float(exact_log_cdf(spec, r)[0]))
+    return float(_cdf_from_log(exact_log_cdf(spec, r))[0])
 
 
 def spherical_exact_cdf(n: int, r: float) -> float:
     """P(spherical radius <= r) at matrix size n, exactly."""
-    return _exact_cdf_at(Spherical(_check_n(n)), r)
+    return _exact_cdf_at(Spherical(n), r)
 
 
 def truncated_exact_cdf(n: int, p: int, r: float) -> float:
     """P(truncated-unitary radius <= r) for the p x p block of an n x n
     Haar unitary, exactly; the radius lives in [0, 1]."""
-    spec = TruncatedUnitary(n, p)
-    r = float(r)
-    if math.isnan(r) or not (0.0 <= r <= 1.0):
-        raise ValueError(f"r must lie in [0, 1], got {r}")
-    return _exact_cdf_at(spec, r)
+    return _exact_cdf_at(TruncatedUnitary(n, p), r)
 
 
 def product_exact_cdf_k1(n: int, r: float) -> float:
     """P(single-Ginibre radius <= r) at matrix size n, exactly."""
-    return _exact_cdf_at(GinibreProduct(_check_n(n), 1), r)
+    return _exact_cdf_at(GinibreProduct(n, 1), r)
 
 
 # --- k >= 2 by contour inversion ---------------------------------------------
@@ -471,7 +440,9 @@ def _contour_log_factors(a: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
         z = theta[rows, None] + iy
         g = _log_gamma_ratio(a[rows, None], z)
         g = (np.exp(k * (g - g[:, :1]) - iy * x[rows, None]) / z).real
-        tail[rows] = h[rows] * (np.sum(g, axis=1) - 0.5 * g[:, 0]) / np.pi
+        # each factor sums its own nodes only, so the block does not move its bits
+        total = np.cumsum(g, axis=1)[np.arange(rows.size), nodes[rows]]
+        tail[rows] = h[rows] * (total - 0.5 * g[:, 0]) / np.pi
     logs[keep] = np.where(lower, log_c + np.log(np.maximum(-tail, 1e-320)),
                           np.log1p(-np.minimum(np.exp(log_c) * tail, 1.0)))
     return logs
@@ -501,19 +472,11 @@ def product_exact_cdf_k2(n: int, r: float, quad_points: int = 64) -> float:
     factors agree with mpmath to 1e-12 relative.  ``quad_points`` is
     accepted and validated (an integer >= 64) but unused.
     """
-    spec = GinibreProduct(_check_n(n), 2)
-    r = _check_radius(r)
     _check_quad_points(quad_points)
-    return _exact_cdf_at(spec, r)
+    return _exact_cdf_at(GinibreProduct(n, 2), r)
 
 
 # --- generic entry points ---------------------------------------------------
-
-
-def _check_n(n: int) -> int:
-    if int(n) != n or n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    return int(n)
 
 
 def _check_quad_points(quad_points: int) -> None:

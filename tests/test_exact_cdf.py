@@ -30,6 +30,25 @@ from specrad.samplers import run_monte_carlo
 from specrad.specfun import reg_inc_beta
 
 
+def _poisson_tables(n, r):
+    """The k=1 log-product from Poisson(r^2) pmf tables, no certificate."""
+    y = r**2
+    return exact_cdf._pmf_log_sums(n, y, np.sqrt(np.maximum(y, 1.0)), 2.0 * np.log(r),
+                                   lambda i: -np.log(i))
+
+
+def _negbin_tables(n, p, r):
+    """The truncated log-product from NegBinomial(n-p, r^2) pmf tables, no
+    certificate; points too wide for a table take the per-factor path."""
+    m, x = n - p, r**2
+    sd = np.sqrt(m * x) / (1.0 - x)
+    wide = (1 + exact_cdf._WINDOW_SD) * sd > exact_cdf._WIDE_CELLS
+    out = exact_cdf._pmf_log_sums(p, m * x / (1.0 - x), sd, 2.0 * np.log(r),
+                                  lambda i: np.log((i + m - 1.0) / i), skip=wide)
+    out[wide] = [exact_cdf._truncated_wide_log_cdf(m, p, v) for v in r[wide]]
+    return out
+
+
 class TestClosedForms:
     def test_spherical_n1(self):
         assert spherical_exact_cdf(1, 1.0) == pytest.approx(0.5, rel=1e-14)
@@ -83,9 +102,8 @@ class TestProductK1ExtremeRadii:
         # across the certification edge the pmf kernel itself returns log 0
         # to within the 1e-320 floor
         r = np.sqrt(n) * np.linspace(1.0, 3.0, 400) + np.linspace(0.0, 30.0, 400)
-        y = r**2
         got = exact_log_cdf(GinibreProduct(n, 1), r)
-        kernel = exact_cdf._product_k1_kernel(n, y, 2.0 * np.log(r))
+        kernel = _poisson_tables(n, r)
         certified = got == 0.0
         assert np.any(certified) and not np.all(certified)
         assert np.all(np.abs(kernel[certified]) <= 1e-300)
@@ -417,7 +435,7 @@ class TestProductK1LowerCertificate:
         log_y = self._edge_log_y(n) + np.linspace(-0.3, 0.3, 121) * min(1.0, 30.0 / math.sqrt(n))
         r = np.exp(0.5 * log_y)
         got = exact_log_cdf(GinibreProduct(n, 1), r)
-        kernel = exact_cdf._product_k1_kernel(n, r**2, 2.0 * np.log(r))
+        kernel = _poisson_tables(n, r)
         certified = np.isneginf(got)
         assert np.any(certified) and not np.all(certified)
         assert np.all(kernel[certified] <= exact_cdf._LOG_ZERO_CUT)
@@ -474,7 +492,7 @@ class TestTruncatedCertificates:
     def test_certified_points_are_at_the_floor_in_the_kernel(self, n, p, upper):
         r = self._sweep(n, p, upper)
         got = exact_log_cdf(TruncatedUnitary(n, p), r)
-        kernel = exact_cdf._truncated_kernel(n, p, r)
+        kernel = _negbin_tables(n, p, r)
         k = p - 1 if upper else p
         bound = np.array([self._bound(n, p, k, v) for v in r]) + (math.log(p) if upper else 0.0)
         certified = bound < exact_cdf._LOG_ZERO_CUT
@@ -502,6 +520,36 @@ class TestTruncatedCertificates:
         assert got[0] == -np.inf and got[1] == 0.0 and got[2] == 0.0
         assert peak <= 1e6
         assert truncated_exact_cdf(10**6, 5 * 10**5, 0.5) == 0.0
+
+    def test_one_call_holds_every_kind_of_point(self):
+        # null, table, wide (per-factor) and sure points, in that order
+        spec = TruncatedUnitary(1050, 1000)
+        r = np.array([0.5, 0.976, math.sqrt(1.0 - 2e-6), math.sqrt(1.0 - 1e-9)])
+        got = exact_log_cdf(spec, r)
+        assert got[0] == -np.inf and -100.0 < got[1] < -1.0 and got[3] == 0.0
+        assert got[2] == pytest.approx(-2.5389446986195823892e-198, rel=1e-12, abs=0)
+        for i, v in enumerate(r):
+            assert exact_log_cdf(spec, [v])[0] == got[i]
+
+
+# truncated log-cdfs at points whose table would pass _WIDE_CELLS cells, by
+# mpmath at 50 digits: sum_j log1p(-I_delta(m, j)), delta = 1 - r^2 at the
+# double r
+FROZEN_TRUNCATED_WIDE = [
+    (102, 100, 1.0 - 1e-9, -6.8679989247195362191e-13),
+    (12, 10, math.sqrt(1.0 - 1e-6), -2.199990099798738911e-10),
+    (52, 50, math.sqrt(1.0 - 1e-7), -2.2099945855551910964e-10),
+    (1050, 1000, math.sqrt(1.0 - 2e-6), -2.5389446986195823892e-198),
+]
+
+
+@pytest.mark.parametrize("n,p,r,want", FROZEN_TRUNCATED_WIDE)
+def test_wide_truncated_factors_keep_relative_accuracy(n, p, r, want):
+    # I_x(j, m) near 1 put these off by 1.3e-3 to 1e-6 relative, and the
+    # last at 0; rel 1e-12 is the reg_inc_beta contract
+    m, x = n - p, r * r
+    assert (1 + exact_cdf._WINDOW_SD) * math.sqrt(m * x) / (1.0 - x) > exact_cdf._WIDE_CELLS
+    assert exact_log_cdf(TruncatedUnitary(n, p), [r])[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestBlockPlanner:
@@ -551,8 +599,11 @@ class TestBlockPlanner:
             (TruncatedUnitary(20000, 10000), np.linspace(0.70, 0.72, 300)),
             (GinibreProduct(40, 1), np.sqrt(40.0) * np.linspace(0.5, 2.0, 3000)),
             (GinibreProduct(10**5, 1), np.sqrt(1e5) * np.linspace(0.98, 1.03, 300)),
+            (GinibreProduct(20, 2), 20.0 * np.linspace(0.3, 3.0, 300)),
+            (GinibreProduct(100, 2), 100.0 * np.linspace(0.5, 2.0, 300)),
+            (GinibreProduct(50, 3), 50.0**1.5 * np.linspace(0.3, 3.0, 300)),
         ],
-        ids=["sph50", "sph1e5", "tr60", "tr2e4", "k1_40", "k1_1e5"],
+        ids=["sph50", "sph1e5", "tr60", "tr2e4", "k1_40", "k1_1e5", "k2_20", "k2_100", "k3_50"],
     )
     def test_input_order_does_not_matter(self, spec, r):
         perm = np.random.default_rng(3).permutation(r.size)

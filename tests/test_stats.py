@@ -351,8 +351,7 @@ class TestExactLimitGap:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gap = stats._exact_limit_gap(spec, law, grid)
-        # the k=2 kernel groups points by call, so the last bits may move
-        assert gap == pytest.approx(stats._exact_limit_gap(spec, law, grid[-2:]), rel=1e-12)
+        assert gap == stats._exact_limit_gap(spec, law, grid[-2:])
 
     @pytest.mark.parametrize("spec, law, want, abs_tol", [
         # n gap is near 0.14 in the Phi_alpha regime
