@@ -23,19 +23,23 @@ with a certified truncation bound:
 Each cdf value is returned as a CdfValue carrying its log and that bound.
 
 The vector paths evaluate the same factors as arrays, one table row per
-point.  Normal tails come from specfun's array erfc (Cody's rational
-approximations), never from a Python float per element.  Each Phi_a point
-keeps the scalar path's own truncation J: the points are sorted, so J
-falls along them, and each row's log is read at its J from a cumulative
-sum.  Both tables are cut into blocks of at most _TABLE_CELLS = 2^14 cells
-(128 KB per temporary; on a 2-CPU Xeon with 4 MB L2 the Phi_a kernel ran
-about a third faster than at 2^15 or 2^16 cells).  So a point's value
-does not depend on the other points of the call, and working memory
-follows the block, not the call.
+point.  Both H paths take their factors from one Poisson table, and both
+Phi_a paths their deep normal tails from specfun's one Mills fraction; the
+scalar path keeps only its own libm logs and fsum, whose bits the CLI
+prints.  Vector normal tails come from specfun's array erfc (Cody's
+rational approximations), never from a Python float per element.  Each
+Phi_a point keeps the scalar path's own truncation J: the points are
+sorted, so J falls along them, and each row's log is read at its J from a
+cumulative sum.  Both tables are cut into blocks of at most _TABLE_CELLS
+= 2^14 cells (128 KB per temporary; on a 2-CPU Xeon with 4 MB L2 the
+Phi_a kernel ran about a third faster than at 2^15 or 2^16 cells).  So a
+point's value does not depend on the other points of the call, and
+working memory follows the block, not the call.
 
 Neither product has a closed-form inverse, so one solver inverts every
 law numerically in its natural coordinate (log x for H, the Gaussian
-argument t for Phi_a, x for the normal law), and it has two callers.
+argument t for Phi_a, x for the normal law), which states each law's cdfs
+and certified bracket once, and it has two callers.
 ``quantiles`` runs it on the vector cdf, where one tabulation on a fixed
 grid gives every level a bracketing cell (Hormann and Leydold, ACM TOMACS
 2003).  ``quantile`` runs it on the scalar (libm) cdf at its one level,
@@ -53,7 +57,8 @@ from typing import Union
 import numpy as np
 
 from .errors import NonConvergenceError
-from .specfun import _erfc_array, log_std_normal_cdf, std_normal_cdf, std_normal_pdf
+from .specfun import (_LOG_SQRT_2PI, _SQRT1_2, _erfc_array, _mills_fraction,
+                      log_std_normal_cdf, std_normal_cdf, std_normal_pdf)
 from .samplers import RandomStream
 
 __all__ = [
@@ -148,48 +153,35 @@ def _validate_x(x: float) -> float:
 # spherical H law
 
 
-def _poisson_weight_table(tau: float, i_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled Poisson(tau) pmf machinery on i = 0..i_max.
-
-    Returns (prefix, suffix, total) of weights w_i = pmf_i * exp(-m) for the
-    row max m, so every entry is in (0, 1] and ratios are exact pmf ratios.
-    prefix[i] = sum_{l<=i} w_l, suffix[i] = sum_{l>=i} w_l; both are sums of
-    positives and keep relative accuracy at their small ends.
-    """
-    i = np.arange(i_max + 1, dtype=float)
-    if tau > 0.0:
-        log_pmf = -tau + i * math.log(tau) - np.cumsum(np.concatenate(([0.0], np.log(i[1:]))))
-    else:
-        log_pmf = np.full(i_max + 1, -np.inf)
-        log_pmf[0] = 0.0
-    w = np.exp(log_pmf - np.max(log_pmf))
-    prefix = np.cumsum(w)
-    suffix = np.cumsum(w[::-1])[::-1]
-    return prefix, suffix, float(prefix[-1])
-
-
 def _poisson_table_span(tau: float) -> int:
     return int(math.ceil(tau + 12.0 * math.sqrt(tau + 1.0))) + 40
 
 
-def _dropped_complement_mass(tau, suffix: np.ndarray, total) -> np.ndarray:
-    """R_k = sum_{l>k} (1 - H_l(tau)) = E[(X - k)^+], X ~ Poisson(tau), for
-    k = 1..i_max, along the last axis of a weight table on 0..i_max.
+def _poisson_factor_table(tau, log_tau, i_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(c, h, R) for k = 1..i_max along the last axis, X ~ Poisson(tau):
+    c[k-1] = 1 - H_k = P(X >= k), h[k-1] = H_k and R[k-1] = R_k =
+    sum_{l>k} (1 - H_l) = E[(X - k)^+]; tau and log_tau are a float or a
+    column, one tau per row.  All three come from the weights
+    w_i = pmf_i / max_l pmf_l on i = 0..i_max, whose prefix and suffix sums
+    are sums of positives and keep relative accuracy at their small ends.
 
-    Inside the table R_k is a suffix sum of the suffix sums, a sum of
-    positives with no cancellation.  The complements beyond the table's end
-    add at most p_m ((m+1)/(m+1-tau))^2 with m = i_max + 1, since the pmf
-    ratios tau/(l+1) stay below tau/(m+1) < 1 there.
+    Inside the table R_k is a suffix sum of the suffix sums, so no term
+    cancels.  The complements beyond the table's end add at most
+    p_m ((m+1)/(m+1-tau))^2 with m = i_max + 1, since the pmf ratios
+    tau/(l+1) stay below tau/(m+1) < 1 there.
     """
-    tail = np.cumsum(suffix[..., ::-1], axis=-1)[..., ::-1]
-    inside = np.zeros(suffix.shape[:-1] + (suffix.shape[-1] - 1,))
-    inside[..., :-1] = tail[..., 2:]
-    tau = np.asarray(tau, dtype=float)
-    m = suffix.shape[-1]
-    with np.errstate(divide="ignore"):
-        log_p_m = -tau + m * np.log(tau) - math.lgamma(m + 1.0)
-    beyond = np.exp(log_p_m) * ((m + 1.0) / (m + 1.0 - tau)) ** 2
-    return inside / np.asarray(total)[..., None] + np.asarray(beyond)[..., None]
+    i = np.arange(i_max + 1, dtype=float)
+    log_pmf = -tau + i * log_tau - np.cumsum(np.concatenate(([0.0], np.log(i[1:]))))
+    w = np.exp(log_pmf - np.max(log_pmf, axis=-1, keepdims=True))
+    prefix = np.cumsum(w, axis=-1)
+    suffix = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+    total = prefix[..., -1:]
+    inside = np.zeros(suffix.shape[:-1] + (i_max,))
+    inside[..., :-1] = np.cumsum(suffix[..., ::-1], axis=-1)[..., ::-1][..., 2:]
+    m = i_max + 1
+    log_p_m = -tau + m * np.log(tau) - math.lgamma(m + 1.0)
+    dropped = inside / total + np.exp(log_p_m) * ((m + 1.0) / (m + 1.0 - tau)) ** 2
+    return suffix[..., 1:] / total, prefix[..., :-1] / total, dropped
 
 
 def spherical_h_cdf(x: float, tol: float = 1e-12, max_terms: int = 200_000) -> CdfValue:
@@ -208,26 +200,22 @@ def spherical_h_cdf(x: float, tol: float = 1e-12, max_terms: int = 200_000) -> C
     if tau > 745.0:
         # H(x) <= H_1(tau) = e^{-tau} < 5e-324: exactly 0 in double precision
         return CdfValue(0.0, -math.inf, 0.0)
+    if tau == 0.0:  # every factor is 1
+        return CdfValue(1.0, 0.0, 0.0)
 
+    log_tau = math.log(tau)
     i_max = _poisson_table_span(tau)
-    prefix, suffix, total = _poisson_weight_table(tau, i_max)
-    dropped = _dropped_complement_mass(tau, suffix, total)
-
+    c, h, dropped = _poisson_factor_table(tau, log_tau, i_max)
     log_factors: list[float] = []
     k = 0
     while True:
         k += 1
         if k + 1 > i_max:
             i_max *= 2
-            prefix, suffix, total = _poisson_weight_table(tau, i_max)
-            dropped = _dropped_complement_mass(tau, suffix, total)
-        # c_k = P(Poi >= k) = 1 - H_k; h_k = H_k = P(Poi <= k-1)
-        c_k = float(suffix[k]) / total
-        h_k = float(prefix[k - 1]) / total
-        if c_k <= 0.5:
-            log_factors.append(math.log1p(-c_k))
-        else:
-            log_factors.append(math.log(h_k))
+            c, h, dropped = _poisson_factor_table(tau, log_tau, i_max)
+        # log H_k from whichever of c_k = 1 - H_k and h_k = H_k is small
+        c_k, h_k = float(c[k - 1]), float(h[k - 1])
+        log_factors.append(math.log1p(-c_k) if c_k <= 0.5 else math.log(h_k))
         bound = float(dropped[k - 1]) / h_k if h_k > 0.0 else math.inf
         if bound <= tol:
             break
@@ -262,38 +250,24 @@ def _spherical_h_log_vec(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     tau = tau[tau <= 745.0]
     if tau.size == 0:
         return out, bounds
-    tau_max = float(np.max(tau))
-    i_max = _poisson_table_span(tau_max)
-    i = np.arange(i_max + 1, dtype=float)
-    log_fact = np.cumsum(np.concatenate(([0.0], np.log(i[1:]))))
-    log_pos, bounds_pos = np.empty(tau.shape), np.empty(tau.shape)
+    i_max = _poisson_table_span(float(np.max(tau)))
+    at = np.flatnonzero(pos)
     step = max(1, _TABLE_CELLS // (i_max + 1))
     for start in range(0, len(tau), step):
         rows = slice(start, start + step)
-        log_pos[rows], bounds_pos[rows] = _spherical_h_log_rows(tau[rows], i, log_fact, tol)
-    out[pos] = log_pos
-    bounds[pos] = bounds_pos
+        out[at[rows]], bounds[at[rows]] = _spherical_h_log_rows(tau[rows], i_max, tol)
     return out, bounds
 
 
-def _spherical_h_log_rows(tau, i, log_fact, tol):
+def _spherical_h_log_rows(tau, i_max, tol):
     """log H and its bound for a block of rows, one tau per row; columns
     are the Poisson support 0..i_max shared by every block of a call."""
-    log_pmf = -tau[:, None] + i[None, :] * np.log(tau)[:, None] - log_fact[None, :]
-    w = np.exp(log_pmf - np.max(log_pmf, axis=1, keepdims=True))
-    prefix = np.cumsum(w, axis=1)
-    suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
-    total = prefix[:, -1]
-
-    # c[:, k-1] = 1 - H_k for k = 1..i_max; factor logs from whichever of
-    # (complement, direct) is the small, relatively-accurate one
-    c = suffix[:, 1:] / total[:, None]
-    h = prefix[:, :-1] / total[:, None]
+    c, h, residual = _poisson_factor_table(tau[:, None], np.log(tau)[:, None], i_max)
+    # each factor's log from whichever of c = 1 - H_k and h = H_k is small
     with np.errstate(divide="ignore"):
         logs = np.where(c <= 0.5, np.log1p(-np.minimum(c, 1.0)), np.log(np.maximum(h, 1e-320)))
 
     # per-row K: first k with R_k/H_k <= tol
-    residual = _dropped_complement_mass(tau, suffix, total)
     ok = residual <= tol * np.maximum(h, 1e-320)
     k_stop = np.argmax(ok, axis=1)
     rows = np.arange(len(tau))
@@ -311,9 +285,17 @@ def _spherical_h_log_rows(tau, i, log_fact, tol):
 
 
 def gumbel_cdf(x: float) -> float:
-    """Lambda(x) = exp(-exp(-x)), exact."""
+    """Lambda(x) = exp(-exp(-x)), exact; 0 where exp(-x) overflows."""
+    return math.exp(_gumbel_log_cdf(x))
+
+
+def _gumbel_log_cdf(x: float) -> float:
+    """log Lambda(x) = -exp(-x); -inf where exp(-x) overflows (x < -709.78)."""
     x = _validate_x(x)
-    return math.exp(-math.exp(-x))
+    try:
+        return -math.exp(-x)
+    except OverflowError:
+        return -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +345,6 @@ def phi_alpha(x: float, alpha: float, tol: float = 1e-12, max_terms: int = 200_0
     return CdfValue(math.exp(log_value), log_value, bound)
 
 
-_SQRT1_2 = math.sqrt(0.5)
-
 _PHI_MAX_TERMS = 1_000_000
 
 # exp of a log below this is 0.0 (e^-745.2 rounds to 0); log Phi(-30) is -454
@@ -399,10 +379,7 @@ def _log_std_normal_cdf_vec(t: np.ndarray) -> np.ndarray:
     lo = t < -30.0
     if np.any(lo):
         s = -t[lo]
-        cf = s + 40.0
-        for kk in range(39, 0, -1):
-            cf = s + kk / cf
-        out[lo] = -0.5 * s * s - 0.5 * math.log(2.0 * math.pi) - np.log(cf)
+        out[lo] = -0.5 * s * s - _LOG_SQRT_2PI - np.log(_mills_fraction(s))
     return out
 
 
@@ -525,12 +502,11 @@ def cdf(law: LimitLaw, x: float, tol: float = 1e-12) -> CdfValue:
     if isinstance(law, SphericalH):
         return spherical_h_cdf(x, tol)
     if isinstance(law, Gumbel):
-        x = _validate_x(x)
-        return CdfValue(gumbel_cdf(x), -math.exp(-x), 0.0)
+        log_value = _gumbel_log_cdf(x)
+        return CdfValue(math.exp(log_value), log_value, 0.0)
     if isinstance(law, ProductLaw):
         return product_law_cdf(x, law.alpha, tol)
     if isinstance(law, StandardNormal):
-        x = _validate_x(x)
         return CdfValue(std_normal_cdf(x), log_std_normal_cdf(x), 0.0)
     raise ValueError(f"unknown limit law: {law!r}")
 
@@ -563,8 +539,6 @@ def cdf_values(law: LimitLaw, x, tol: float = 1e-10) -> np.ndarray:
 def upper_tail(law: LimitLaw, x: float, tol: float = 1e-12) -> float:
     """1 - cdf(x) with relative accuracy preserved through the log form:
     -expm1(log_value) never subtracts two near-1 doubles."""
-    if isinstance(law, Gumbel):
-        return -math.expm1(-math.exp(-_validate_x(x)))
     if isinstance(law, StandardNormal):
         return 0.5 * math.erfc(_validate_x(x) * _SQRT1_2)
     cv = cdf(law, x, tol)
@@ -584,7 +558,7 @@ def tail_asymptote(law: LimitLaw, x: float) -> float:
     if isinstance(law, SphericalH):
         return x ** (-2.0)
     if isinstance(law, Gumbel):
-        return -math.expm1(-math.exp(-x))
+        return upper_tail(law, x)
     if isinstance(law, ProductLaw):
         a = law.alpha
         c = math.sqrt(a) * math.exp(-a / 8.0) / (2.0 * math.sqrt(2.0 * math.pi))
@@ -599,40 +573,29 @@ def tail_asymptote(law: LimitLaw, x: float) -> float:
 # quantiles and sampling
 
 
-def _seed_bracket(law: LimitLaw, q_lo: float, q_hi: float) -> tuple[float, float, float]:
-    """Bracket (lo, hi) in the law's natural coordinate u that holds every
-    quantile in [q_lo, q_hi], and the solver's first outward step for an
-    edge that turns out to be inside.
+def _natural_coordinate(law: LimitLaw, eval_tol: float, q_lo: float, q_hi: float):
+    """(vector F(u), scalar F(u), u -> x, lo, hi, step): the law's cdf at
+    eval_tol in its natural coordinate u, the map back to x, a bracket
+    [lo, hi] in u that holds every quantile in [q_lo, q_hi], and the
+    solver's first outward step for an edge that turns out to be inside.
 
       SphericalH:  u = log x in [log 1e-3, log 1e3], step log 2.
                    H(x) <= H_1(x^-2) = exp(-x^-2) gives a lower edge, and
                    1 - H(x) <= x^-2 / H_1(x^-2) an upper edge; so tau =
                    x^-2 stays modest and no Poisson span is astronomical.
       ProductLaw:  u = t = sqrt(a)/2 + 2 log(x)/sqrt(a), step 4, where
-                   Phi_a(t) <= Phi(t) bounds the lower edge.
+                   Phi_a(t) <= Phi(t) <= exp(-t^2/2) for t < 0 bounds the
+                   lower edge.
       StandardNormal: u = x in [-8, 8], step 4.
     """
     if isinstance(law, SphericalH):
         lo = max(1e-3, 0.98 / math.sqrt(math.log(1.0 / q_lo)))
         hi = min(1e3, 1.5 * math.sqrt(2.0 / (1.0 - q_hi)))
         log_lo, log_hi = np.log([lo, max(hi, 2.0 * lo)])
-        return float(log_lo), float(log_hi), math.log(2.0)
-    if isinstance(law, ProductLaw):
-        # Phi(t) <= exp(-t^2/2) for t < 0
-        lo = -math.sqrt(2.0 * math.log(1.0 / q_lo)) - 1.0
-        hi = math.sqrt(2.0 * math.log(1.0 / (1.0 - q_hi))) + 3.0 + 1.0 / math.sqrt(law.alpha)
-        return lo, hi, 4.0
-    return -8.0, 8.0, 4.0
-
-
-def _natural_cdf(law: LimitLaw, eval_tol: float):
-    """(vector F(u), scalar F(u), u -> x): the law's cdf at eval_tol in its
-    natural coordinate u (see ``_seed_bracket``) and the map back to x."""
-    if isinstance(law, SphericalH):
         return (
             lambda u: cdf_values(law, np.exp(u), eval_tol),
             lambda u: spherical_h_cdf(math.exp(u), eval_tol).value,
-            np.exp,
+            np.exp, float(log_lo), float(log_hi), math.log(2.0),
         )
     if isinstance(law, ProductLaw):
         sqrt_a = math.sqrt(law.alpha)
@@ -640,9 +603,12 @@ def _natural_cdf(law: LimitLaw, eval_tol: float):
             lambda u: np.exp(_phi_alpha_log_vec(u, law.alpha, eval_tol)[0]),
             lambda u: phi_alpha(u, law.alpha, eval_tol).value,
             lambda u: np.exp((u - 0.5 * sqrt_a) * sqrt_a / 2.0),
+            -math.sqrt(2.0 * math.log(1.0 / q_lo)) - 1.0,
+            math.sqrt(2.0 * math.log(1.0 / (1.0 - q_hi))) + 3.0 + 1.0 / sqrt_a,
+            4.0,
         )
     if isinstance(law, StandardNormal):
-        return lambda u: cdf_values(law, u, eval_tol), std_normal_cdf, lambda u: u
+        return lambda u: cdf_values(law, u, eval_tol), std_normal_cdf, lambda u: u, -8.0, 8.0, 4.0
     raise ValueError(f"unknown limit law: {law!r}")
 
 
@@ -661,8 +627,8 @@ def _solve_quantiles(
     Works in the law's natural coordinate u, on the vector cdf, or on the
     scalar cdf point by point when ``pointwise`` is set.
 
-      1. The certified ``_seed_bracket`` of [min q, max q] is expanded
-         outward, with doubling steps, until F(lo) < min q and
+      1. The certified ``_natural_coordinate`` bracket of [min q, max q]
+         is expanded outward, with doubling steps, until F(lo) < min q and
          F(hi) >= max q hold for evaluated values.
       2. The cdf is evaluated once on ``nodes`` equally spaced nodes of
          [lo, hi] (2 nodes: the ends only), and a binary search gives each
@@ -683,17 +649,11 @@ def _solve_quantiles(
     """
     eval_tol = min(tol * 0.1, 1e-11)
     stop_tol = tol - eval_tol
-    vector_cdf, scalar_cdf, to_x = _natural_cdf(law, eval_tol)
-    if pointwise:
-        def fvec(u: np.ndarray) -> np.ndarray:
-            return np.array([scalar_cdf(v) for v in u.tolist()])
-    else:
-        fvec = vector_cdf
-
     q_min, q_max = float(np.min(levels)), float(np.max(levels))
+    vector_cdf, scalar_cdf, to_x, lo, hi, step = _natural_coordinate(law, eval_tol, q_min, q_max)
+    fvec = (lambda u: np.array([scalar_cdf(v) for v in u.tolist()])) if pointwise else vector_cdf
 
     # 1. expand the certified seed bracket until evaluated values bracket
-    lo, hi, step = _seed_bracket(law, q_min, q_max)
     ends = np.array([lo, hi])
     steps = np.full(2, step)
     f_ends = fvec(ends)

@@ -26,7 +26,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -138,13 +138,19 @@ def sample_spherical_radius(n: int, rng: RandomStream) -> float:
     B_j/(1-B_j) is formed as G1/G2 from the two defining Gamma variates;
     1-B_j is never computed, so j near n (B_j near 1) loses no precision.
     G1 (shapes 1..n) and G2 (shapes n..1) come from one call, in that order.
+    A bad n raises ``Spherical``'s error.
     """
+    if type(n) is not int or n < 1:
+        n = Spherical(n).n
     g = rng.generator.standard_gamma(_shapes((1.0, 1.0, n), (float(n), -1.0, n)))
     return math.sqrt(np.divide(g[:n], g[n:], out=g[:n]).max())
 
 
 def sample_truncated_radius(n: int, p: int, rng: RandomStream) -> float:
-    """max_j sqrt(Beta(j, n-p)) over j = 1..p; always in [0, 1]."""
+    """max_j sqrt(Beta(j, n-p)) over j = 1..p; always in [0, 1].  Bad sizes
+    raise ``TruncatedUnitary``'s error."""
+    if not (type(n) is type(p) is int and 1 <= p < n):
+        n, p = astuple(TruncatedUnitary(n, p))
     g = rng.generator.standard_gamma(_shapes((1.0, 1.0, p), (float(n - p), 0.0, p)))
     g1, total = g[:p], g[p:]
     total += g1
@@ -157,8 +163,10 @@ def sample_product_log_radius(n: int, k: int, rng: RandomStream) -> float:
     Accumulates in log space; the product itself (over k factors) would
     overflow double precision at k of a few hundred.  Rows are drawn in
     blocks to bound memory, which leaves the draw order (row-major) and
-    hence the result unchanged.
+    hence the result unchanged.  Bad sizes raise ``GinibreProduct``'s error.
     """
+    if not (type(n) is type(k) is int and n >= 1 and k >= 1):
+        n, k = astuple(GinibreProduct(n, k))
     g = rng.generator
     block = max(1, _PRODUCT_BLOCK_ELEMS // k)
     best = -math.inf

@@ -19,7 +19,9 @@ continued fraction for the small quantity directly), never as 1 - p with p
 close to 1; relative accuracy in the far tail is what the tail-asymptotics
 checks consume.
 
-All functions are pure; there is no shared mutable state.
+All functions are pure; there is no shared mutable state.  The Mills-ratio
+continued fraction behind log_std_normal_cdf's deep tail takes floats and
+arrays, so the vector limit-law path shares it.
 """
 
 from __future__ import annotations
@@ -247,17 +249,14 @@ def _erfc_array(x) -> np.ndarray:
     return out
 
 
-def _log_mills_ratio(t: float) -> float:
-    """log of the Mills ratio (1-Phi(t))/phi(t) for large t >= 30.
-
-    Continued fraction R(t) = 1/(t + 1/(t + 2/(t + 3/(...)))), evaluated
-    bottom-up; 40 levels is ample for double precision at t >= 30.
-    """
-    levels = 40
-    cf = t + levels
-    for kk in range(levels - 1, 0, -1):
+def _mills_fraction(t):
+    """t + 1/(t + 2/(t + 3/(...))), 40 levels bottom-up, on a float or an
+    array: the reciprocal of the Mills ratio (1-Phi(t))/phi(t), to double
+    precision at t >= 30."""
+    cf = t + 40.0
+    for kk in range(39, 0, -1):
         cf = t + kk / cf
-    return -math.log(cf)
+    return cf
 
 
 def log_std_normal_cdf(x: float) -> float:
@@ -274,7 +273,7 @@ def log_std_normal_cdf(x: float) -> float:
             return math.log1p(-0.5 * math.erfc(x * _SQRT1_2))
         return math.log(p)
     t = -x
-    return -0.5 * t * t - _LOG_SQRT_2PI + _log_mills_ratio(t)
+    return -0.5 * t * t - _LOG_SQRT_2PI - math.log(_mills_fraction(t))
 
 
 def _gamma_p_series(a: float, x: float, acc: Accuracy) -> float:

@@ -28,6 +28,13 @@ class TestCmdCdf:
         assert err == ""
         assert out.splitlines() == ["x,cdf", "0,0.36787944117144233"]
 
+    def test_gumbel_far_left_prints_zeros(self, capsys):
+        # exp(-x) overflows below x = -709.78; this grid used to exit 2
+        code, out, err = run_cli(capsys, "cdf", "--law", "gumbel", "--grid=-800:-700:3")
+        assert code == 0
+        assert err == ""
+        assert out.splitlines() == ["x,cdf", "-800,0", "-750,0", "-700,0"]
+
     def test_spherical_tail_column(self, capsys):
         code, out, _ = run_cli(
             capsys, "cdf", "--law", "spherical-h", "--grid", "10:10:1", "--with-tail"

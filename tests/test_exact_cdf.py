@@ -552,6 +552,38 @@ def test_wide_truncated_factors_keep_relative_accuracy(n, p, r, want):
     assert exact_log_cdf(TruncatedUnitary(n, p), [r])[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_truncated_m2_matches_its_closed_form(monkeypatch):
+    """m = n - p = 2, where the NegBinomial(2, x) tail is geometric, not
+    Gaussian: P(X >= j) = x^j (1 + j(1-x)), so with d = 1 - x
+
+        log F = p(p+1)/2 log x + p log d + log Gamma(1/d + p + 1) - log Gamma(1/d + 1).
+
+    The terms cancel (an fsum of the per-factor logs in doubles is off by up
+    to 1.6e-8 relative here), so mpmath evaluates the closed form at 60
+    digits from the double r.  The points above the floor run over both the
+    window and the wide per-factor branch."""
+    mpmath = pytest.importorskip("mpmath")
+    wide = []
+    real = exact_cdf._truncated_wide_log_cdf
+    monkeypatch.setattr(exact_cdf, "_truncated_wide_log_cdf",
+                        lambda m, p, r: wide.append((p, r)) or real(m, p, r))
+    x = np.concatenate([np.linspace(0.01, 0.999, 25), 1.0 - np.logspace(-2, -9, 15)])
+    r = np.sqrt(x)
+    checked = set()
+    for p in (1, 2, 5, 20, 100, 1000, 5000):
+        got = exact_log_cdf(TruncatedUnitary(p + 2, p), r)
+        for g, v in zip(got, r.tolist()):
+            with mpmath.workdps(60):
+                xm = mpmath.mpf(v) ** 2
+                d = 1 - xm
+                want = float(p * (p + 1) // 2 * mpmath.log(xm) + p * mpmath.log(d)
+                             + mpmath.loggamma(1 / d + p + 1) - mpmath.loggamma(1 / d + 1))
+            if want > exact_cdf._LOG_ZERO_CUT:
+                assert g == pytest.approx(want, rel=1e-12, abs=0), (p, v)
+                checked.add((p, v))
+    assert 0 < len(checked & set(wide)) < len(checked)
+
+
 class TestBlockPlanner:
     """pmf tables are built in blocks of rows x union-width <= _BLOCK_CELLS
     cells, so memory follows the block budget, not the grid's spread."""

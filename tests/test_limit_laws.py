@@ -112,6 +112,24 @@ class TestSphericalH:
         assert spherical_h_cdf(0.02).value == 0.0
         assert cdf_values(SPHERICAL_H, [0.02], tol=1e-12)[0] == 0.0
 
+    # frozen values at points where the first Poisson span is too short
+    # for tol, so the scalar loop doubles the span once
+    @pytest.mark.parametrize("x, tol, expected", [
+        (0.5, 1e-100, (6.972101194787486e-05, -9.571008822961751, 1.3529549371845508e-101)),
+        (1.7, 1e-100, (0.6698318571876002, -0.4007285575142027, 1.559068496435831e-101)),
+        (3.0, 1e-200, (0.8895157511050318, -0.11707806421399358, 1.0665868147680297e-201)),
+        (10.0, 1e-300, (0.9900004958622439, -0.01004983498267339, 4.0874791407322976e-303)),
+    ])
+    def test_span_doubling_is_frozen(self, x, tol, expected, monkeypatch):
+        tables = []
+        real = limit_laws._poisson_factor_table
+        monkeypatch.setattr(limit_laws, "_poisson_factor_table",
+                            lambda *args: tables.append(args[2]) or real(*args))
+        cv = spherical_h_cdf(x, tol)
+        assert tables == [tables[0], 2 * tables[0]]
+        assert cv == limit_laws.CdfValue(*expected)
+        assert cv.truncation_bound <= tol
+
     def test_vector_log_is_monotone_across_the_cut(self):
         # below x = 745^-1/2 ~ 0.0366 the log is -inf, as on the scalar path;
         # a surrogate -55 - tau lay far above the true log just past the cut
@@ -138,6 +156,17 @@ class TestGumbel:
 
     def test_median(self):
         assert gumbel_cdf(-math.log(math.log(2.0))) == pytest.approx(0.5, rel=1e-15)
+
+    def test_far_left_where_exp_overflows(self):
+        # exp(-x) overflows below x = -709.78; these calls used to raise
+        # OverflowError, while cdf_values already returned 0
+        for x in (-710.0, -800.0, -1e300, -math.inf):
+            assert gumbel_cdf(x) == 0.0
+            assert cdf(GUMBEL, x) == limit_laws.CdfValue(0.0, -math.inf, 0.0)
+            assert upper_tail(GUMBEL, x) == 1.0
+            assert cdf_values(GUMBEL, [x])[0] == 0.0
+        # just above the cut the log keeps its finite value
+        assert cdf(GUMBEL, -709.78).log_value == -math.exp(709.78)
 
 
 class TestPhiAlpha:

@@ -213,6 +213,23 @@ BATCH_PINS = [
 ]
 
 
+@pytest.mark.parametrize("sample, sizes, message", [
+    (sample_spherical_radius, (0,), "n must be >= 1"),
+    (sample_spherical_radius, (2.5,), "n must be an integer"),
+    (sample_truncated_radius, (5, 5), "need 1 <= p < n"),
+    (sample_truncated_radius, (5, 7), "need 1 <= p < n"),
+    (sample_truncated_radius, (5, 0), "p must be >= 1"),
+    (sample_product_log_radius, (0, 3), "n must be >= 1"),
+    (sample_product_log_radius, (-2, 3), "n must be >= 1"),
+    (sample_product_log_radius, (3, 0), "k must be >= 1"),
+])
+def test_public_samplers_reject_bad_sizes(sample, sizes, message):
+    # the ensemble specs' own rules; these returned 1.0 or -inf, or raised
+    # numpy errors, ZeroDivisionError or TypeError
+    with pytest.raises(ValueError, match=message):
+        sample(*sizes, RandomStream(1, 0))
+
+
 class TestStreamPins:
     @pytest.mark.parametrize("sample,expected", STREAM_PINS)
     def test_public_samplers(self, sample, expected):
