@@ -7,6 +7,7 @@ can be captured exactly; none of these tests shell out.
 
 import json
 import math
+import re
 
 import pytest
 
@@ -409,3 +410,101 @@ class TestCmdNorming:
         )
         assert code == 2
         assert err.startswith("error:")
+
+
+# one small invocation per subcommand and format, with its exact stdout;
+# runtime_ms is blanked to "_", as the only value that moves between runs
+FROZEN_STDOUT = [
+    (("cdf", "--law", "spherical-h", "--grid", "2:4:3", "--with-tail"),
+     "x,cdf,tail\n"
+     "2,0.7564184437374903,0.25\n"
+     "3,0.889515751105502,0.1111111111111111\n"
+     "4,0.9376159760615851,0.0625\n"),
+    (("cdf", "--law", "product-alpha", "--alpha", "1", "--grid", "2:4:3", "--with-tail",
+      "--format", "json"),
+     '{"law": "product-alpha", "x": [2.0, 3.0, 4.0], '
+     '"cdf": [0.9684312706774286, 0.9963940714309517, 0.9994574398164863], '
+     '"tail": [0.048575985214909134, 0.004778427546941793, 0.00067984994979592]}\n'),
+    (("sample", "--ensemble", "product", "--n", "6", "--k", "2", "--reps", "3", "--seed", "1"),
+     "# raw=log_radius\n"
+     "replicate,raw,normalized\n"
+     "0,1.8795957109707766,1.0918093145973617\n"
+     "1,1.6591509107153593,0.8758078525474605\n"
+     "2,1.8343728846054677,1.0435344025105193\n"),
+    (("sample", "--ensemble", "truncated", "--n", "10", "--p", "5", "--reps", "3", "--seed", "2",
+      "--format", "json"),
+     '{"ensemble": {"family": "truncated", "n": 10, "p": 5}, "seed": 2, "reps": 3, '
+     '"raw_unit": "radius", '
+     '"raw": [0.7602422463536173, 0.5689240715457567, 0.7583398150802252], '
+     '"normalized": [0.6578303460203381, -1.563008727478103, 0.6357467477901247]}\n'),
+    (("ks", "--ensemble", "spherical", "--n", "20", "--reps", "50", "--seed", "2",
+      "--format", "csv"),
+     "ensemble,law,reps,seed,statistic,location,critical_005,runtime_ms\n"
+     "spherical,spherical-h,50,2,0.15165582277802603,1.3940918146919927,"
+     "0.19205020177026633,_\n"),
+    (("ks", "--ensemble", "product", "--n", "10", "--k", "10", "--reps", "50", "--seed", "1"),
+     '{"ensemble": {"family": "product", "n": 10, "k": 10}, "law": "product-alpha", '
+     '"reps": 50, "seed": 1, "ks": {"statistic": 0.09558919174885494, '
+     '"location": 0.937641975615581, "critical_005": 0.19205020177026633}, '
+     '"runtime_ms": _, "alpha": 1.0}\n'),
+    (("converge", "--ensemble", "truncated", "--n-list", "10,20", "--reps", "30", "--seed", "0"),
+     "n,ks,critical_005,runtime_ms\n"
+     "10,0.1531596030028443,0.2479357443640052,_\n"
+     "20,0.11280719401373898,0.2479357443640052,_\n"),
+    (("converge", "--ensemble", "product", "--n-list", "10,20", "--k-rule", "ratio:0.5",
+      "--reps", "30", "--seed", "0", "--format", "json"),
+     '{"ensemble": "product", "law": "product-alpha", "reps": 30, "seed": 0, "rows": ['
+     '{"n": 10, "ks": 0.15327219333199116, "critical_005": 0.2479357443640052, '
+     '"runtime_ms": _}, '
+     '{"n": 20, "ks": 0.12672080590020263, "critical_005": 0.2479357443640052, '
+     '"runtime_ms": _}]}\n'),
+    (("norming", "--ensemble", "truncated", "--n", "101", "--p", "26", "--format", "csv"),
+     "pre_transform,shift,scale,a_n,b_n,c_n,y\n"
+     "identity,0.53094442421235655,0.0230911103674501,0.71463086595688208,"
+     "0.5332663514613869,0.5,33.666666666666664\n"),
+    (("norming", "--ensemble", "product", "--n", "50", "--k", "2500"),
+     '{"pre_transform": "log_space", "shift": 0, "scale": 1, "alpha": 50, '
+     '"log_multiplier": 1, "log_shift": 4890.0287567851828}\n'),
+]
+
+FROZEN_IDS = [f"{command}-{fmt}" for command in ("cdf", "sample", "ks", "converge", "norming")
+              for fmt in ("csv", "json")]
+
+
+def _blank_runtime(text):
+    text = re.sub(r'"runtime_ms": [^,}]+', '"runtime_ms": _', text)
+    lines = text.split("\n")
+    if lines[0].endswith(",runtime_ms"):
+        lines[1:] = [line.rsplit(",", 1)[0] + ",_" if line else line for line in lines[1:]]
+    return "\n".join(lines)
+
+
+class TestFrozenBytes:
+    @pytest.mark.parametrize("argv, expected", FROZEN_STDOUT, ids=FROZEN_IDS)
+    def test_stdout(self, capsys, argv, expected):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert _blank_runtime(out) == expected
+
+    @pytest.mark.parametrize("argv, expected", FROZEN_STDOUT, ids=FROZEN_IDS)
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv, expected):
+        path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert _blank_runtime(path.read_bytes().decode("utf-8")) == expected
+
+    @pytest.mark.parametrize("argv, exit_code", [
+        (("cdf", "--law", "auto", "--grid", "0:1:2"), 2),
+        (("converge", "--ensemble", "product", "--n-list", "10", "--k-rule", "bogus",
+          "--reps", "30", "--seed", "0"), 2),
+        (("sample", "--ensemble", "spherical", "--n", "1000000", "--reps", "1000000",
+          "--seed", "0"), 3),
+        (("cdf", "--law", "product-alpha", "--alpha", "1e-14",
+          "--grid", "1.0000003:1.0000003:1"), 4),
+    ], ids=["cdf-2", "converge-2", "sample-3", "cdf-4"])
+    def test_failure_creates_no_output_file(self, capsys, tmp_path, argv, exit_code):
+        path = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert (code, out) == (exit_code, "")
+        assert err.startswith("error:")
+        assert not path.exists()
