@@ -4,6 +4,10 @@ KS reports, convergence tables, and norming constants.
 Machine-readable output only: CSV (comma, LF) or a single JSON document on
 stdout (or --output); diagnostics go to stderr. Exit codes: 0 success,
 2 validation, 3 work-budget excess, 4 numeric non-convergence.
+
+Every subcommand computes all of its values before it hands them to the
+one writer, ``_write``, which picks the format; so a failing invocation
+prints nothing and creates no --output file.
 """
 
 from __future__ import annotations
@@ -56,11 +60,9 @@ def _default_seed() -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"grid must look like lo:hi:steps, got {text!r}")
     try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        lo, hi, steps = text.split(":")
+        lo, hi, steps = float(lo), float(hi), int(steps)
     except ValueError as exc:
         raise ValueError(f"grid must look like lo:hi:steps, got {text!r}") from exc
     if steps < 1:
@@ -70,18 +72,17 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _build_spec(args):
-    ensemble = args.ensemble
+def _build_spec(ensemble: str, n: int, p: int | None, k: int | None):
     if ensemble == "spherical":
-        return Spherical(args.n)
+        return Spherical(n)
     if ensemble == "truncated":
-        if args.p is None:
+        if p is None:
             raise ValueError("truncated ensemble requires --p")
-        return TruncatedUnitary(args.n, args.p)
+        return TruncatedUnitary(n, p)
     if ensemble == "product":
-        if args.k is None:
+        if k is None:
             raise ValueError("product ensemble requires --k")
-        return GinibreProduct(args.n, args.k)
+        return GinibreProduct(n, k)
     raise ValueError(f"unknown ensemble {ensemble!r}")
 
 
@@ -139,6 +140,19 @@ def _output(path: str | None):
     return open(path, "w", encoding="utf-8", newline="")
 
 
+def _write(args, json_line, csv_lines) -> int:
+    """Write a computed result in the chosen --format to --output or stdout:
+    json_line() returns the single JSON line, csv_lines() the CSV lines,
+    header included; each line is ended with LF."""
+    with _output(args.output) as out:
+        if args.format == "json":
+            out.write(json_line() + "\n")
+        else:
+            for line in csv_lines():
+                out.write(line + "\n")
+    return 0
+
+
 def _json_17g(pairs: list[tuple[str, object]]) -> str:
     """One-line JSON object with floats at 17 significant digits."""
     parts = []
@@ -177,25 +191,17 @@ def cmd_cdf(args) -> int:
         values.append(cv.value)
         if args.with_tail:
             tails.append(limit_laws.tail_asymptote(law, float(x)))
-    with _output(args.output) as out:
-        if args.format == "json":
-            doc = {"law": args.law, "x": [float(v) for v in grid], "cdf": values}
-            if args.with_tail:
-                doc["tail"] = tails
-            out.write(json.dumps(doc) + "\n")
-        else:
-            header = "x,cdf,tail" if args.with_tail else "x,cdf"
-            out.write(header + "\n")
-            for i, x in enumerate(grid):
-                row = f"{_fmt(x)},{_fmt(values[i])}"
-                if args.with_tail:
-                    row += f",{_fmt(tails[i])}"
-                out.write(row + "\n")
-    return 0
+    columns = {"x": [float(v) for v in grid], "cdf": values}
+    if args.with_tail:
+        columns["tail"] = tails
+    return _write(args, lambda: json.dumps({"law": args.law, **columns}), lambda: [
+        ",".join(columns),
+        *(",".join(map(_fmt, row)) for row in zip(*columns.values())),
+    ])
 
 
 def cmd_sample(args) -> int:
-    spec = _build_spec(args)
+    spec = _build_spec(args.ensemble, args.n, args.p, args.k)
     regime = _parse_regime(args.regime, spec)
     constants = norming.norming_for(spec, regime)
     batch = run_monte_carlo(
@@ -203,26 +209,23 @@ def cmd_sample(args) -> int:
     )
     normalized = norming.normalize(spec, constants, batch.statistics)
     log_space = isinstance(spec, GinibreProduct)
-    with _output(args.output) as out:
-        if args.format == "json":
-            doc = {
-                "ensemble": _ensemble_doc(spec),
-                "seed": args.seed,
-                "reps": args.reps,
-                "raw_unit": "log_radius" if log_space else "radius",
-                "raw": [float(v) for v in batch.statistics],
-                "normalized": [float(v) for v in normalized],
-            }
-            out.write(json.dumps(doc) + "\n")
-        else:
-            if log_space:
-                out.write("# raw=log_radius\n")
-            out.write("replicate,raw,normalized\n")
-            for i in range(batch.reps):
-                out.write(
-                    f"{i},{_fmt(batch.statistics[i])},{_fmt(normalized[i])}\n"
-                )
-    return 0
+
+    # only the chosen format is built, and CSV a line at a time: a batch can be large
+    def csv_lines():
+        if log_space:
+            yield "# raw=log_radius"
+        yield "replicate,raw,normalized"
+        for i in range(batch.reps):
+            yield f"{i},{_fmt(batch.statistics[i])},{_fmt(normalized[i])}"
+
+    return _write(args, lambda: json.dumps({
+        "ensemble": _ensemble_doc(spec),
+        "seed": args.seed,
+        "reps": args.reps,
+        "raw_unit": "log_radius" if log_space else "radius",
+        "raw": [float(v) for v in batch.statistics],
+        "normalized": [float(v) for v in normalized],
+    }), csv_lines)
 
 
 def _ks_row(spec, law, args):
@@ -236,34 +239,29 @@ def _ks_row(spec, law, args):
 
 
 def cmd_ks(args) -> int:
-    spec = _build_spec(args)
+    spec = _build_spec(args.ensemble, args.n, args.p, args.k)
     law, law_name = _resolve_law(args, spec)
     report, runtime_ms = _ks_row(spec, law, args)
-    with _output(args.output) as out:
-        if args.format == "csv":
-            out.write("ensemble,law,reps,seed,statistic,location,critical_005,runtime_ms\n")
-            out.write(
-                f"{spec.family},{law_name},{report.reps},{args.seed},"
-                f"{_fmt(report.statistic)},{_fmt(report.location)},"
-                f"{_fmt(report.critical_005)},{_fmt(runtime_ms)}\n"
-            )
-        else:
-            doc = {
-                "ensemble": _ensemble_doc(spec),
-                "law": law_name,
-                "reps": report.reps,
-                "seed": args.seed,
-                "ks": {
-                    "statistic": report.statistic,
-                    "location": report.location,
-                    "critical_005": report.critical_005,
-                },
-                "runtime_ms": runtime_ms,
-            }
-            if isinstance(law, ProductLaw):
-                doc["alpha"] = law.alpha
-            out.write(json.dumps(doc) + "\n")
-    return 0
+    doc = {
+        "ensemble": _ensemble_doc(spec),
+        "law": law_name,
+        "reps": report.reps,
+        "seed": args.seed,
+        "ks": {
+            "statistic": report.statistic,
+            "location": report.location,
+            "critical_005": report.critical_005,
+        },
+        "runtime_ms": runtime_ms,
+    }
+    if isinstance(law, ProductLaw):
+        doc["alpha"] = law.alpha
+    return _write(args, lambda: json.dumps(doc), lambda: [
+        "ensemble,law,reps,seed,statistic,location,critical_005,runtime_ms",
+        f"{spec.family},{law_name},{report.reps},{args.seed},"
+        f"{_fmt(report.statistic)},{_fmt(report.location)},"
+        f"{_fmt(report.critical_005)},{_fmt(runtime_ms)}",
+    ])
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -290,49 +288,40 @@ def cmd_converge(args) -> int:
     sizes = _parse_n_list(args.n_list)
     specs = []
     for n in sizes:
-        if args.ensemble == "spherical":
-            specs.append(Spherical(n))
-        elif args.ensemble == "truncated":
-            specs.append(TruncatedUnitary(n, max(1, round(args.p_ratio * n))))
-        elif args.ensemble == "product":
-            specs.append(GinibreProduct(n, _k_for(n, args.k_rule)))
-        else:
-            raise ValueError(f"unknown ensemble {args.ensemble!r}")
+        # each family reads only its own size rule, so a bad rule of another
+        # family is never evaluated
+        p = max(1, round(args.p_ratio * n)) if args.ensemble == "truncated" else None
+        k = _k_for(n, args.k_rule) if args.ensemble == "product" else None
+        specs.append(_build_spec(args.ensemble, n, p, k))
     law, law_name = _resolve_law(args, specs[0])
     rows = []
     for spec in specs:
         report, runtime_ms = _ks_row(spec, law, args)
         rows.append((spec.n, report, runtime_ms))
-    with _output(args.output) as out:
-        if args.format == "json":
-            doc = {
-                "ensemble": args.ensemble,
-                "law": law_name,
-                "reps": args.reps,
-                "seed": args.seed,
-                "rows": [
-                    {
-                        "n": n,
-                        "ks": report.statistic,
-                        "critical_005": report.critical_005,
-                        "runtime_ms": runtime_ms,
-                    }
-                    for n, report, runtime_ms in rows
-                ],
+    doc = {
+        "ensemble": args.ensemble,
+        "law": law_name,
+        "reps": args.reps,
+        "seed": args.seed,
+        "rows": [
+            {
+                "n": n,
+                "ks": report.statistic,
+                "critical_005": report.critical_005,
+                "runtime_ms": runtime_ms,
             }
-            out.write(json.dumps(doc) + "\n")
-        else:
-            out.write("n,ks,critical_005,runtime_ms\n")
-            for n, report, runtime_ms in rows:
-                out.write(
-                    f"{n},{_fmt(report.statistic)},{_fmt(report.critical_005)},"
-                    f"{_fmt(runtime_ms)}\n"
-                )
-    return 0
+            for n, report, runtime_ms in rows
+        ],
+    }
+    return _write(args, lambda: json.dumps(doc), lambda: [
+        "n,ks,critical_005,runtime_ms",
+        *(f"{n},{_fmt(report.statistic)},{_fmt(report.critical_005)},{_fmt(runtime_ms)}"
+          for n, report, runtime_ms in rows),
+    ])
 
 
 def cmd_norming(args) -> int:
-    spec = _build_spec(args)
+    spec = _build_spec(args.ensemble, args.n, args.p, args.k)
     regime = _parse_regime(args.regime, spec)
     constants = norming.norming_for(spec, regime)
     pairs: list[tuple[str, object]] = [
@@ -342,16 +331,10 @@ def cmd_norming(args) -> int:
     ]
     for key in sorted(constants.aux):
         pairs.append((key, float(constants.aux[key])))
-    with _output(args.output) as out:
-        if args.format == "csv":
-            out.write(",".join(key for key, _ in pairs) + "\n")
-            rendered = [
-                _fmt17(v) if isinstance(v, float) else str(v) for _, v in pairs
-            ]
-            out.write(",".join(rendered) + "\n")
-        else:
-            out.write(_json_17g(pairs) + "\n")
-    return 0
+    return _write(args, lambda: _json_17g(pairs), lambda: [
+        ",".join(key for key, _ in pairs),
+        ",".join(_fmt17(v) if isinstance(v, float) else str(v) for _, v in pairs),
+    ])
 
 
 # --- argument wiring --------------------------------------------------------
@@ -452,15 +435,11 @@ def main(argv=None) -> int:
         if hasattr(args, "budget") and args.budget is not None and args.budget <= 0:
             args.budget = None
         return args.func(args)
-    except WorkBudgetError as exc:
+    except (WorkBudgetError, NonConvergenceError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NonConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if isinstance(exc, WorkBudgetError):
+            return 3
+        return 4 if isinstance(exc, NonConvergenceError) else 2
 
 
 if __name__ == "__main__":

@@ -236,32 +236,40 @@ def _spherical_h_log_vec(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndar
     costs ~1e-13 absolute at worst, irrelevant at the tolerances used for
     batch work (>= 1e-10)."""
     x = np.asarray(x, dtype=float)
-    out = np.full(x.shape, -np.inf)
-    bounds = np.zeros(x.shape)
-    pos = x > 0.0
+    flat = x.ravel()
+    out = np.full(flat.shape, -np.inf)
+    bounds = np.zeros(flat.shape)
+    pos = flat > 0.0
     if not np.any(pos):
-        return out, bounds
+        return out.reshape(x.shape), bounds.reshape(x.shape)
 
     # H(x) <= H_1(tau) = e^{-tau}, so tau > 745 underflows the double value
     # to exactly 0: those points keep log -inf, as in the scalar path,
     # without giant Poisson tables
-    tau = np.clip(x[pos] ** (-2.0), 1e-300, None)
+    tau = np.clip(flat[pos] ** (-2.0), 1e-300, None)
     pos[pos] = tau <= 745.0
     tau = tau[tau <= 745.0]
-    if tau.size == 0:
-        return out, bounds
-    i_max = _poisson_table_span(float(np.max(tau)))
     at = np.flatnonzero(pos)
-    step = max(1, _TABLE_CELLS // (i_max + 1))
-    for start in range(0, len(tau), step):
-        rows = slice(start, start + step)
-        out[at[rows]], bounds[at[rows]] = _spherical_h_log_rows(tau[rows], i_max, tol)
-    return out, bounds
+    if tau.size:
+        i_max = _poisson_table_span(float(np.max(tau)))
+        step = max(1, _TABLE_CELLS // (i_max + 1))
+        for start in range(0, len(tau), step):
+            rows = slice(start, start + step)
+            out[at[rows]], bounds[at[rows]] = _spherical_h_log_rows(tau[rows], i_max, tol)
+    return out.reshape(x.shape), bounds.reshape(x.shape)
 
 
 def _spherical_h_log_rows(tau, i_max, tol):
     """log H and its bound for a block of rows, one tau per row; columns
-    are the Poisson support 0..i_max shared by every block of a call."""
+    are the Poisson support 0..i_max shared by every block of a call.
+
+    A row whose table ends before R_k <= tol H_k is evaluated again on a
+    table of twice the span, as ``spherical_h_cdf`` doubles its own; the
+    rows the first table certifies keep its values.  The doubling ends:
+    at the table's last column R_k is p_m ((m+1)/(m+1-tau))^2, and
+    log p_m falls like -m log(m / (e tau)), so with tau <= 745 it
+    underflows to 0 within a few spans.
+    """
     c, h, residual = _poisson_factor_table(tau[:, None], np.log(tau)[:, None], i_max)
     # each factor's log from whichever of c = 1 - H_k and h = H_k is small
     with np.errstate(divide="ignore"):
@@ -271,13 +279,14 @@ def _spherical_h_log_rows(tau, i_max, tol):
     ok = residual <= tol * np.maximum(h, 1e-320)
     k_stop = np.argmax(ok, axis=1)
     rows = np.arange(len(tau))
-    if not np.all(ok[rows, k_stop]):
-        raise NonConvergenceError(
-            f"H table span insufficient for tol={tol} (tau_max={float(np.max(tau)):.3g})"
-        )
-    csum = np.cumsum(logs, axis=1)
-    bounds = np.maximum(residual[rows, k_stop], 0.0) / np.maximum(h[rows, k_stop], 1e-320)
-    return csum[rows, k_stop], bounds
+    short = ~ok[rows, k_stop]
+    log_h = np.cumsum(logs, axis=1)[rows, k_stop]
+    bounds = np.empty(len(tau))
+    if np.any(short):
+        log_h[short], bounds[short] = _spherical_h_log_rows(tau[short], 2 * i_max, tol)
+    rows, k_stop = rows[~short], k_stop[~short]
+    bounds[rows] = np.maximum(residual[rows, k_stop], 0.0) / np.maximum(h[rows, k_stop], 1e-320)
+    return log_h, bounds
 
 
 # ---------------------------------------------------------------------------

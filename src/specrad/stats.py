@@ -68,7 +68,7 @@ def empirical_cdf(batch: SampleBatch) -> Callable[[float], float]:
     """Right-continuous empirical cdf of the batch.
 
     Queries cost O(log reps) after one O(reps log reps) sort; scalar and
-    array arguments are both accepted.
+    array arguments are both accepted, and a NaN query raises ValueError.
     """
     values = np.asarray(batch.statistics, dtype=float)
     if values.size == 0:
@@ -78,7 +78,10 @@ def empirical_cdf(batch: SampleBatch) -> Callable[[float], float]:
 
     def cdf(x):
         scalar = np.isscalar(x)
-        counts = np.searchsorted(ordered, np.asarray(x, dtype=float), side="right")
+        x = np.asarray(x, dtype=float)
+        if np.any(np.isnan(x)):
+            raise ValueError("x must not be NaN")
+        counts = np.searchsorted(ordered, x, side="right")
         result = counts / n
         return float(result) if scalar else result
 

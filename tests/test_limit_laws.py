@@ -130,6 +130,26 @@ class TestSphericalH:
         assert cv == limit_laws.CdfValue(*expected)
         assert cv.truncation_bound <= tol
 
+    @pytest.mark.parametrize("x, tol", [
+        (0.5, 1e-100), (1.7, 1e-100), (3.0, 1e-200), (10.0, 1e-300), (1.0, 5e-324),
+    ])
+    def test_vector_path_matches_the_doubled_scalar_span(self, x, tol):
+        # the vector table raised "H table span insufficient" where the
+        # scalar loop doubles its span and returns
+        log_vec, bound_vec = limit_laws._spherical_h_log_vec(np.array([x]), tol)
+        assert log_vec[0] == pytest.approx(spherical_h_cdf(x, tol).log_value, rel=0, abs=1e-13)
+        assert bound_vec[0] <= tol
+
+    def test_vector_grid_at_deep_tolerance(self):
+        # at tol = 1e-100 the points x <= 1.668 of this grid raised, one at
+        # a time and in one call
+        x = np.geomspace(0.04, 50.0, 60)
+        log_vec, bound_vec = limit_laws._spherical_h_log_vec(x, 1e-100)
+        expected = [spherical_h_cdf(float(v), 1e-100).log_value for v in x]
+        np.testing.assert_allclose(log_vec, expected, rtol=1e-13, atol=1e-13)
+        assert np.all(bound_vec <= 1e-100)
+        np.testing.assert_array_equal(cdf_values(SPHERICAL_H, x, tol=1e-100), np.exp(log_vec))
+
     def test_vector_log_is_monotone_across_the_cut(self):
         # below x = 745^-1/2 ~ 0.0366 the log is -inf, as on the scalar path;
         # a surrogate -55 - tau lay far above the true log just past the cut
@@ -564,6 +584,15 @@ class TestCdfValuesInputs:
     def test_far_left_is_zero_without_warnings(self, law):
         # pytest's filterwarnings setting turns RuntimeWarning into an error
         assert cdf_values(law, [-1000.0])[0] == 0.0
+
+    @pytest.mark.parametrize("law", LAWS)
+    def test_two_dimensional_input_keeps_its_shape(self, law):
+        # the H path indexed its flat point positions into the 2-d array
+        # and raised a bare IndexError
+        for x in (np.array([[1.0, 2.0]]), np.array([[0.5, 1.0, 2.0], [3.0, 0.8, 1.5]])):
+            out = cdf_values(law, x)
+            assert out.shape == x.shape
+            np.testing.assert_array_equal(out, cdf_values(law, x.ravel()).reshape(x.shape))
 
     @pytest.mark.parametrize("law", LAWS)
     def test_nan_raises_like_the_scalar_cdf(self, law):

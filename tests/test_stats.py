@@ -87,6 +87,14 @@ class TestEmpiricalCdf:
         with pytest.raises(ValueError):
             empirical_cdf(_batch([], reps=0))
 
+    def test_nan_query_raises(self):
+        # searchsorted sorts NaN last, so [nan, 1.5] gave [1.0, 0.5]
+        cdf = empirical_cdf(_batch([1.0, 2.0]))
+        with pytest.raises(ValueError):
+            cdf(math.nan)
+        with pytest.raises(ValueError):
+            cdf(np.array([math.nan, 1.5]))
+
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_step_function_properties(self, values):
