@@ -86,8 +86,8 @@ def _build_spec(ensemble: str, n: int, p: int | None, k: int | None):
     raise ValueError(f"unknown ensemble {ensemble!r}")
 
 
-def _parse_regime(name: str | None, spec):
-    if name in (None, "auto"):
+def _parse_regime(name: str, spec):
+    if name == "auto":
         if isinstance(spec, GinibreProduct):
             return default_regime(spec.n, spec.k)
         return None
@@ -118,14 +118,18 @@ def _law_from_name(name: str, alpha: float | None):
 
 def _resolve_law(args, spec):
     """(law object, law name) for a sampled ensemble; auto follows the
-    family and, for products, the selected or default regime."""
+    family and, for products, the selected or default regime.  An explicit
+    law sets the regime, so an explicit --regime must be the law's own."""
+    regime = _parse_regime(args.regime, spec)
     if args.law != "auto":
-        return _law_from_name(args.law, getattr(args, "alpha", None)), args.law
+        law = _law_from_name(args.law, args.alpha)
+        if args.regime != "auto" and stats._check_law_family(spec, law) != regime:
+            raise ValueError(f"--law {args.law} does not follow from --regime {args.regime}")
+        return law, args.law
     if isinstance(spec, Spherical):
         return SPHERICAL_H, "spherical-h"
     if isinstance(spec, TruncatedUnitary):
         return GUMBEL, "gumbel"
-    regime = _parse_regime(getattr(args, "regime", None), spec)
     if isinstance(regime, SmallK):
         return GUMBEL, "gumbel"
     if isinstance(regime, LargeK):

@@ -1,10 +1,12 @@
 """Exception types shared across the package.
 
-Domain validation failures raise plain ValueError (or a subclass); the two
+Domain validation failures raise plain ValueError (or a subclass); the
 classes below cover the remaining failure modes that callers may want to
 distinguish: running out of an explicit work budget, and iterative numerics
-failing to reach a requested tolerance.
+(quadrature among them) failing to reach a requested tolerance.
 """
+
+__all__ = ["WorkBudgetError", "NonConvergenceError", "QuadratureError"]
 
 
 class WorkBudgetError(RuntimeError):

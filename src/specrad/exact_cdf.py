@@ -34,8 +34,8 @@ J P(X <= J-1) below the floor certifies every factor as 1 (log 0), and one
 on P(X >= J), which bounds every factor, certifies the product as 0
 (-inf); neither builds a table.  A truncated point whose table would pass
 _WIDE_CELLS cells takes one incomplete-beta call per factor instead, as the
-complement 1 - I_{1-x}(m, j) wherever that is at most 1/2, so factors near
-1 keep their relative accuracy.
+complement 1 - I_{1-x}(m, j), which stays below 1/2 while the product is
+above the floor, so factors near 1 keep their relative accuracy.
 
 For every k >= 2 the product factor P(S_j <= x), x = log r^2, S_j a sum of
 k logs of Gamma(j) variables, has no pmf table but has the mgf
@@ -291,17 +291,18 @@ def _truncated_log_cdf_vec(n: int, p: int, r: np.ndarray) -> np.ndarray:
 
 def _truncated_wide_log_cdf(m: int, p: int, r: float) -> float:
     """The truncated log-product at one radius 0 < r < 1 from p incomplete-beta
-    calls: each factor as 1 - I_delta(m, j), delta = 1 - r^2, where that
-    complement is at most 1/2, so factors near 1 keep their relative accuracy."""
+    calls: each factor as 1 - c_j, c_j = I_delta(m, j) = P(X < j), delta =
+    1 - r^2, so factors near 1 keep their relative accuracy.
+
+    No c_j reaches 1/2, where log f_j would be better taken from
+    I_{r^2}(j, m) itself: a wide point has a NegBinomial sd above
+    _WIDE_CELLS / 46 ~ 43,000, so the c_j up to 1.6 sd below the mean of X
+    already sum past 736, and -log(1 - c) >= c puts the running log sum
+    under _LOG_ZERO_CUT before j gets there."""
     delta = (1.0 - r) * (1.0 + r)
     acc = 0.0
     for j in range(1, p + 1):
-        c = reg_inc_beta(delta, float(m), float(j))
-        if c <= 0.5:
-            acc += math.log1p(-c)
-        else:
-            f = reg_inc_beta(r * r, float(j), float(m))
-            acc = acc + math.log(f) if f > 0.0 else -math.inf
+        acc += math.log1p(-reg_inc_beta(delta, float(m), float(j)))
         if acc < _LOG_ZERO_CUT:
             return -math.inf
     return acc

@@ -23,18 +23,19 @@ with a certified truncation bound:
 Each cdf value is returned as a CdfValue carrying its log and that bound.
 
 The vector paths evaluate the same factors as arrays, one table row per
-point.  Both H paths take their factors from one Poisson table, and both
-Phi_a paths their deep normal tails from specfun's one Mills fraction; the
-scalar path keeps only its own libm logs and fsum, whose bits the CLI
-prints.  Vector normal tails come from specfun's array erfc (Cody's
-rational approximations), never from a Python float per element.  Each
-Phi_a point keeps the scalar path's own truncation J: the points are
-sorted, so J falls along them, and each row's log is read at its J from a
-cumulative sum.  Both tables are cut into blocks of at most _TABLE_CELLS
-= 2^14 cells (128 KB per temporary; on a 2-CPU Xeon with 4 MB L2 the
-Phi_a kernel ran about a third faster than at 2^15 or 2^16 cells).  So a
-point's value does not depend on the other points of the call, and
-working memory follows the block, not the call.
+point.  Both H paths cut H's support at one x, _H_ZERO_X, and take their
+factors and each point's truncation K from one routine over one Poisson
+table; both Phi_a paths take their deep normal tails from specfun's one
+Mills fraction.  The scalar path keeps only its own libm logs and fsum,
+whose bits the CLI prints.  Vector normal tails come from specfun's array
+erfc (Cody's rational approximations), never from a Python float per
+element.  Each Phi_a point keeps the scalar path's own truncation J: the
+points are sorted, so J falls along them, and each row's log is read at its
+J from a cumulative sum.  Both tables are cut into blocks of at most
+_TABLE_CELLS = 2^14 cells (128 KB per temporary; on a 2-CPU Xeon with 4 MB
+L2 the Phi_a kernel ran about a third faster than at 2^15 or 2^16 cells).
+So memory follows the block, not the call; a Phi_a value never depends on
+the call's other points, and an H point only through its block's span.
 
 Neither product has a closed-form inverse, so one solver inverts every
 law numerically in its natural coordinate (log x for H, the Gaussian
@@ -170,22 +171,48 @@ def _poisson_factor_table(tau, log_tau, i_max: int) -> tuple[np.ndarray, np.ndar
     p_m ((m+1)/(m+1-tau))^2 with m = i_max + 1, since the pmf ratios
     tau/(l+1) stay below tau/(m+1) < 1 there.
     """
+    # array methods skip np.cumsum's and np.max's Python dispatch, a quarter of a one-row table
     i = np.arange(i_max + 1, dtype=float)
-    log_pmf = -tau + i * log_tau - np.cumsum(np.concatenate(([0.0], np.log(i[1:]))))
-    w = np.exp(log_pmf - np.max(log_pmf, axis=-1, keepdims=True))
-    prefix = np.cumsum(w, axis=-1)
-    suffix = np.cumsum(w[..., ::-1], axis=-1)[..., ::-1]
+    log_pmf = -tau + i * log_tau - np.concatenate(([0.0], np.log(i[1:]))).cumsum()
+    w = np.exp(log_pmf - log_pmf.max(-1, keepdims=True))
+    prefix = w.cumsum(-1)
+    suffix = w[..., ::-1].cumsum(-1)[..., ::-1]
     total = prefix[..., -1:]
     inside = np.zeros(suffix.shape[:-1] + (i_max,))
-    inside[..., :-1] = np.cumsum(suffix[..., ::-1], axis=-1)[..., ::-1][..., 2:]
+    inside[..., :-1] = suffix[..., ::-1].cumsum(-1)[..., ::-1][..., 2:]
     m = i_max + 1
     log_p_m = -tau + m * np.log(tau) - math.lgamma(m + 1.0)
     dropped = inside / total + np.exp(log_p_m) * ((m + 1.0) / (m + 1.0 - tau)) ** 2
     return suffix[..., 1:] / total, prefix[..., :-1] / total, dropped
 
 
+def _h_truncation(tau, log_tau, i_max: int, tol: float):
+    """(c, h, ratio, k_stop): the ``_poisson_factor_table`` factors c and h,
+    ratio = R_k / max(H_k, 1e-300) (the floor keeps the division finite),
+    and each row's K, the first k < i_max with ratio <= tol.  While some row
+    has no K, i_max doubles and every row is taken again from the wider table.
+
+    The doubling ends: at the table's last column R_k is p_m ((m+1)/(m+1-tau))^2,
+    and log p_m falls like -m log(m / (e tau)), so with tau <= 745 it
+    underflows to 0 within a few spans.
+    """
+    while True:
+        c, h, dropped = _poisson_factor_table(tau, log_tau, i_max)
+        ratio = dropped / np.maximum(h, 1e-300)
+        ok = ratio[..., :-1] <= tol
+        if ok.any(-1).all():
+            return c, h, ratio, ok.argmax(-1) + 1
+        i_max *= 2
+
+
+# H(x) <= H_1(x^-2) = exp(-x^-2), which is 0 in double precision where
+# x^-2 > 745; x < _H_ZERO_X is exactly that set of doubles, found before
+# x^-2 can overflow (below x ~ 7.46e-155)
+_H_ZERO_X = 745.0 ** -0.5
+
+
 def spherical_h_cdf(x: float, tol: float = 1e-12, max_terms: int = 200_000) -> CdfValue:
-    """H(x) for the spherical radius limit; exactly 0 for x <= 0.
+    """H(x) for the spherical radius limit; exactly 0 for x < _H_ZERO_X.
 
     log H(x) = sum_{k=1}^K log H_k(tau), tau = x^-2, stopping at the first
     K whose certified remainder bound R_K / H_K(tau) falls below tol (the
@@ -194,99 +221,52 @@ def spherical_h_cdf(x: float, tol: float = 1e-12, max_terms: int = 200_000) -> C
     """
     tol = _validate_tol(tol)
     x = _validate_x(x)
-    if x <= 0.0:
+    if x < _H_ZERO_X:
         return CdfValue(0.0, -math.inf, 0.0)
     tau = x ** (-2.0)
-    if tau > 745.0:
-        # H(x) <= H_1(tau) = e^{-tau} < 5e-324: exactly 0 in double precision
-        return CdfValue(0.0, -math.inf, 0.0)
     if tau == 0.0:  # every factor is 1
         return CdfValue(1.0, 0.0, 0.0)
 
-    log_tau = math.log(tau)
-    i_max = _poisson_table_span(tau)
-    c, h, dropped = _poisson_factor_table(tau, log_tau, i_max)
-    log_factors: list[float] = []
-    k = 0
-    while True:
-        k += 1
-        if k + 1 > i_max:
-            i_max *= 2
-            c, h, dropped = _poisson_factor_table(tau, log_tau, i_max)
-        # log H_k from whichever of c_k = 1 - H_k and h_k = H_k is small
-        c_k, h_k = float(c[k - 1]), float(h[k - 1])
-        log_factors.append(math.log1p(-c_k) if c_k <= 0.5 else math.log(h_k))
-        bound = float(dropped[k - 1]) / h_k if h_k > 0.0 else math.inf
-        if bound <= tol:
-            break
-        if k >= max_terms:
-            raise NonConvergenceError(
-                f"spherical H truncation did not reach tol={tol} within "
-                f"{max_terms} factors at x={x}",
-                achieved=bound,
-            )
-
-    log_value = math.fsum(log_factors)
+    c, h, ratio, k_stop = _h_truncation(tau, math.log(tau), _poisson_table_span(tau), tol)
+    bound = float(ratio[min(k_stop, max(max_terms, 1)) - 1])
+    if bound > tol:
+        raise NonConvergenceError(
+            f"spherical H truncation did not reach tol={tol} within "
+            f"{max_terms} factors at x={x}",
+            achieved=bound,
+        )
+    # log H_k from whichever of c_k = 1 - H_k and h_k = H_k is small
+    log_value = math.fsum([math.log1p(-c_k) if c_k <= 0.5 else math.log(h_k)
+                           for c_k, h_k in zip(c[:k_stop].tolist(), h[:k_stop].tolist())])
     return CdfValue(math.exp(log_value), log_value, bound)
 
 
 def _spherical_h_log_vec(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Vector version of the H log-cdf for bulk evaluation (sampling, KS
-    grids).  Same factor formulas; plain summation instead of fsum, which
-    costs ~1e-13 absolute at worst, irrelevant at the tolerances used for
-    batch work (>= 1e-10)."""
+    grids): the scalar path's cut and truncation, with numpy logs and plain
+    summation instead of libm and fsum, which costs ~1e-13 absolute at worst,
+    irrelevant at the tolerances used for batch work (>= 1e-10)."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     out = np.full(flat.shape, -np.inf)
     bounds = np.zeros(flat.shape)
-    pos = flat > 0.0
-    if not np.any(pos):
-        return out.reshape(x.shape), bounds.reshape(x.shape)
-
-    # H(x) <= H_1(tau) = e^{-tau}, so tau > 745 underflows the double value
-    # to exactly 0: those points keep log -inf, as in the scalar path,
-    # without giant Poisson tables
-    tau = np.clip(flat[pos] ** (-2.0), 1e-300, None)
-    pos[pos] = tau <= 745.0
-    tau = tau[tau <= 745.0]
-    at = np.flatnonzero(pos)
-    if tau.size:
+    at = np.flatnonzero(flat >= _H_ZERO_X)
+    if at.size:
+        # H rounds to 1 at tau <= 1e-300; the floor keeps log tau finite past x ~ 6.4e161
+        tau = np.clip(flat[at] ** (-2.0), 1e-300, None)
+        # one first span, the widest row's, for every block of the call
         i_max = _poisson_table_span(float(np.max(tau)))
         step = max(1, _TABLE_CELLS // (i_max + 1))
         for start in range(0, len(tau), step):
             rows = slice(start, start + step)
-            out[at[rows]], bounds[at[rows]] = _spherical_h_log_rows(tau[rows], i_max, tol)
+            c, h, ratio, k_stop = _h_truncation(tau[rows, None], np.log(tau[rows])[:, None], i_max, tol)
+            # each factor's log from whichever of c = 1 - H_k and h = H_k is small
+            with np.errstate(divide="ignore"):
+                logs = np.where(c <= 0.5, np.log1p(-np.minimum(c, 1.0)), np.log(np.maximum(h, 1e-320)))
+            last = (np.arange(len(k_stop)), k_stop - 1)
+            out[at[rows]] = np.cumsum(logs, axis=1)[last]
+            bounds[at[rows]] = ratio[last]
     return out.reshape(x.shape), bounds.reshape(x.shape)
-
-
-def _spherical_h_log_rows(tau, i_max, tol):
-    """log H and its bound for a block of rows, one tau per row; columns
-    are the Poisson support 0..i_max shared by every block of a call.
-
-    A row whose table ends before R_k <= tol H_k is evaluated again on a
-    table of twice the span, as ``spherical_h_cdf`` doubles its own; the
-    rows the first table certifies keep its values.  The doubling ends:
-    at the table's last column R_k is p_m ((m+1)/(m+1-tau))^2, and
-    log p_m falls like -m log(m / (e tau)), so with tau <= 745 it
-    underflows to 0 within a few spans.
-    """
-    c, h, residual = _poisson_factor_table(tau[:, None], np.log(tau)[:, None], i_max)
-    # each factor's log from whichever of c = 1 - H_k and h = H_k is small
-    with np.errstate(divide="ignore"):
-        logs = np.where(c <= 0.5, np.log1p(-np.minimum(c, 1.0)), np.log(np.maximum(h, 1e-320)))
-
-    # per-row K: first k with R_k/H_k <= tol
-    ok = residual <= tol * np.maximum(h, 1e-320)
-    k_stop = np.argmax(ok, axis=1)
-    rows = np.arange(len(tau))
-    short = ~ok[rows, k_stop]
-    log_h = np.cumsum(logs, axis=1)[rows, k_stop]
-    bounds = np.empty(len(tau))
-    if np.any(short):
-        log_h[short], bounds[short] = _spherical_h_log_rows(tau[short], 2 * i_max, tol)
-    rows, k_stop = rows[~short], k_stop[~short]
-    bounds[rows] = np.maximum(residual[rows, k_stop], 0.0) / np.maximum(h[rows, k_stop], 1e-320)
-    return log_h, bounds
 
 
 # ---------------------------------------------------------------------------

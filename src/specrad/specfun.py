@@ -27,12 +27,12 @@ arrays, so the vector limit-law path shares it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonConvergenceError
+
 __all__ = [
-    "Accuracy",
     "log_gamma",
     "digamma",
     "trigamma",
@@ -50,19 +50,9 @@ _EPS = 2.220446049250313e-16
 _FPMIN = 1e-300
 
 
-@dataclass(frozen=True)
-class Accuracy:
-    """Iteration budget for series / continued-fraction evaluation; they
-    stop at double-precision convergence or after max_terms terms."""
-
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
-
-
-_DEFAULT_ACCURACY = Accuracy()
+# iteration budget of the series and continued fractions; they stop at
+# double-precision convergence or after this many terms
+_MAX_TERMS = 10_000
 
 
 def _require_positive(name: str, x: float) -> float:
@@ -276,14 +266,14 @@ def log_std_normal_cdf(x: float) -> float:
     return -0.5 * t * t - _LOG_SQRT_2PI - math.log(_mills_fraction(t))
 
 
-def _gamma_p_series(a: float, x: float, acc: Accuracy) -> float:
+def _gamma_p_series(a: float, x: float) -> float:
     """P(a,x) via the standard power series; accurate for x < a + 1."""
     if x == 0.0:
         return 0.0
     ap = a
     term = 1.0 / a
     total = term
-    for _ in range(acc.max_terms):
+    for _ in range(_MAX_TERMS):
         ap += 1.0
         term *= x / ap
         total += term
@@ -292,13 +282,13 @@ def _gamma_p_series(a: float, x: float, acc: Accuracy) -> float:
     raise _series_failure("regularized incomplete gamma series", a, x, term, total)
 
 
-def _gamma_q_contfrac(a: float, x: float, acc: Accuracy) -> float:
+def _gamma_q_contfrac(a: float, x: float) -> float:
     """Q(a,x) via the Lentz continued fraction; accurate for x >= a + 1."""
     b = x + 1.0 - a
     c = 1.0 / _FPMIN
     d = 1.0 / b
     h = d
-    for i in range(1, acc.max_terms + 1):
+    for i in range(1, _MAX_TERMS + 1):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -316,15 +306,13 @@ def _gamma_q_contfrac(a: float, x: float, acc: Accuracy) -> float:
 
 
 def _series_failure(what: str, a: float, x: float, term: float, total: float):
-    from .errors import NonConvergenceError
-
     return NonConvergenceError(
         f"{what} did not converge for a={a}, x={x}",
         achieved=abs(term) / max(abs(total), _FPMIN),
     )
 
 
-def reg_inc_gamma_pair(a: float, x: float, acc: Accuracy = _DEFAULT_ACCURACY) -> tuple[float, float]:
+def reg_inc_gamma_pair(a: float, x: float) -> tuple[float, float]:
     """(P(a,x), Q(a,x)) with the smaller of the two computed directly.
 
     The directly computed member carries full relative accuracy; its
@@ -338,9 +326,9 @@ def reg_inc_gamma_pair(a: float, x: float, acc: Accuracy = _DEFAULT_ACCURACY) ->
     if x == 0.0:
         return 0.0, 1.0
     if x < a + 1.0:
-        p = _gamma_p_series(a, x, acc)
+        p = _gamma_p_series(a, x)
         return p, 1.0 - p
-    q = _gamma_q_contfrac(a, x, acc)
+    q = _gamma_q_contfrac(a, x)
     return 1.0 - q, q
 
 
@@ -368,7 +356,7 @@ def poisson_cdf(k: int, x: float) -> float:
     return reg_inc_gamma_pair(float(k), x)[1]
 
 
-def _beta_contfrac(a: float, b: float, x: float, acc: Accuracy) -> float:
+def _beta_contfrac(a: float, b: float, x: float) -> float:
     """Lentz continued fraction for the incomplete beta; needs
     x < (a+1)/(a+b+2) for fast convergence."""
     qab = a + b
@@ -380,7 +368,7 @@ def _beta_contfrac(a: float, b: float, x: float, acc: Accuracy) -> float:
         d = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, acc.max_terms + 1):
+    for m in range(1, _MAX_TERMS + 1):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
@@ -406,7 +394,7 @@ def _beta_contfrac(a: float, b: float, x: float, acc: Accuracy) -> float:
     raise _series_failure("regularized incomplete beta continued fraction", a, x, h, h)
 
 
-def reg_inc_beta(x: float, a: float, b: float, acc: Accuracy = _DEFAULT_ACCURACY) -> float:
+def reg_inc_beta(x: float, a: float, b: float) -> float:
     """I_x(a,b), the Beta(a,b) cdf at x, via continued fraction with the
     standard symmetry switch at x = (a+1)/(a+b+2)."""
     a = _require_positive("a", a)
@@ -427,7 +415,7 @@ def reg_inc_beta(x: float, a: float, b: float, acc: Accuracy = _DEFAULT_ACCURACY
     )
     front = math.exp(log_front)
     if x < (a + 1.0) / (a + b + 2.0):
-        result = front * _beta_contfrac(a, b, x, acc) / a
+        result = front * _beta_contfrac(a, b, x) / a
     else:
-        result = 1.0 - front * _beta_contfrac(b, a, 1.0 - x, acc) / b
+        result = 1.0 - front * _beta_contfrac(b, a, 1.0 - x) / b
     return min(1.0, max(0.0, result))

@@ -43,6 +43,7 @@ __all__ = [
     "qq_points",
     "mass_span_grid",
     "law_cdf_fn",
+    "normalized_batch",
 ]
 
 

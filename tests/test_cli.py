@@ -55,6 +55,11 @@ class TestCmdCdf:
         assert err == ""
         assert out.splitlines() == ["x,cdf", "0.05,0"]
 
+    def test_spherical_below_the_overflow_of_x_to_the_minus_2(self, capsys):
+        # x^-2 overflowed here, and the command exited 2
+        code, out, err = run_cli(capsys, "cdf", "--law", "spherical-h", "--grid", "1e-300:1e-299:2")
+        assert (code, out, err) == (0, "x,cdf\n1e-300,0\n1e-299,0\n", "")
+
     def test_product_alpha_passthrough(self, capsys):
         code, out, _ = run_cli(
             capsys, "cdf", "--law", "product-alpha", "--alpha", "1", "--grid", "1:1:1"
@@ -280,6 +285,33 @@ class TestCmdKs:
         a.pop("runtime_ms")
         b.pop("runtime_ms")
         assert a == b
+
+    @pytest.mark.parametrize("argv", [
+        # the law was taken and the regime dropped: KS 0.0665912554278984,
+        # as with --regime small-k
+        ("ks", "--ensemble", "product", "--n", "400", "--k", "1", "--regime", "large-k",
+         "--law", "gumbel", "--reps", "300", "--seed", "1", "--format", "csv"),
+        ("ks", "--ensemble", "spherical", "--n", "50", "--regime", "large-k",
+         "--reps", "200", "--seed", "1"),
+        ("converge", "--ensemble", "spherical", "--n-list", "10,20", "--regime", "large-k",
+         "--reps", "20", "--seed", "1"),
+    ], ids=["ks-law-against-regime", "ks-spherical", "converge-spherical"])
+    def test_regime_is_not_dropped(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("n, k, regime, law", [
+        ("400", "1", "small-k", ("gumbel",)),
+        ("10", "10", "proportional", ("product-alpha", "--alpha", "1")),
+        ("4", "64", "large-k", ("normal",)),
+    ])
+    def test_explicit_law_of_the_regime_is_auto(self, capsys, n, k, regime, law):
+        base = ("ks", "--ensemble", "product", "--n", n, "--k", k, "--regime", regime,
+                "--reps", "100", "--seed", "1", "--format", "csv")
+        code, explicit, _ = run_cli(capsys, *base, "--law", *law)
+        assert code == 0
+        assert _blank_runtime(explicit) == _blank_runtime(run_cli(capsys, *base)[1])
 
 
 class TestCmdConverge:

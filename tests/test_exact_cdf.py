@@ -11,9 +11,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specrad import exact_cdf, stats
-from specrad.errors import QuadratureError
+from specrad import exact_cdf, norming, stats
+from specrad.errors import NonConvergenceError, QuadratureError, WorkBudgetError
 from specrad.exact_cdf import (
     CdfCurve,
     cdf_curve,
@@ -552,6 +554,19 @@ def test_wide_truncated_factors_keep_relative_accuracy(n, p, r, want):
     assert exact_log_cdf(TruncatedUnitary(n, p), [r])[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_wide_truncated_product_exits_at_the_floor(monkeypatch):
+    # m = 2, 1 - r^2 = 3e-5: the NegBinomial mean is 66,665 and the running
+    # log sum passes log(1e-320) at j = 18,377, where P(X < j) is 0.106
+    calls = []
+    real = exact_cdf.reg_inc_beta
+    monkeypatch.setattr(exact_cdf, "reg_inc_beta",
+                        lambda x, a, b: calls.append(b) or real(x, a, b))
+    r = math.sqrt(1.0 - 3e-5)
+    assert exact_log_cdf(TruncatedUnitary(20_002, 20_000), [r])[0] == -np.inf
+    assert len(calls) == 18_377
+    assert real((1.0 - r) * (1.0 + r), 2.0, 18_377.0) < 0.5
+
+
 def test_truncated_m2_matches_its_closed_form(monkeypatch):
     """m = n - p = 2, where the NegBinomial(2, x) tail is geometric, not
     Gaussian: P(X >= j) = x^j (1 + j(1-x)), so with d = 1 - x
@@ -931,3 +946,46 @@ class TestProductEveryK:
         report = stats.ks_statistic(
             batch, lambda s: exact_cdf._cdf_from_log(exact_cdf._statistic_log_cdf(spec, s)))
         assert report.statistic < math.sqrt(math.log(2.0 / 1e-6) / (2.0 * reps))
+
+
+def _robustness_spec(family, n, other):
+    if family == "spherical":
+        return Spherical(n)
+    if family == "truncated":
+        return TruncatedUnitary(n + 1, 1 + other % n)
+    return GinibreProduct(n, 1 + other % 200)
+
+
+def _bulk_radius(spec, z):
+    """A radius in or near the bulk of spec's cdf, for z in [-4, 8]."""
+    if isinstance(spec, Spherical):
+        return math.sqrt(spec.n) * math.exp(z / 4.0)
+    if isinstance(spec, TruncatedUnitary):
+        # 1 - r^2 from 1 down to e^-24
+        return math.sqrt(-math.expm1(-2.0 * (z + 4.0)))
+    return math.exp(min(float(norming._denormalize(norming.norming_for(spec), z)), 709.0))
+
+
+@pytest.mark.parametrize("family", ["spherical", "truncated", "product"])
+@given(
+    n=st.integers(1, 3000),
+    other=st.integers(0, 3000),
+    radii=st.lists(st.sampled_from(["0", "5e-324", "1e300", "inf"]) | st.floats(-4.0, 8.0),
+                   min_size=1, max_size=4),
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_every_radius_gives_a_cdf_or_a_typed_error(family, n, other, radii):
+    """Sizes up to a few thousand, products up to k = 200, radii at 0, 5e-324,
+    1e300 and inf and in the bulk: the log cdf is at most 0 and
+    nondecreasing in r above the 1e-320 floor, or the call raises
+    ValueError or a typed specrad error.  pytest turns numpy warnings into
+    errors."""
+    spec = _robustness_spec(family, n, other)
+    r = sorted(float(v) if isinstance(v, str) else _bulk_radius(spec, v) for v in radii)
+    try:
+        logs = exact_log_cdf(spec, r)
+    except (NonConvergenceError, WorkBudgetError, ValueError):
+        return
+    assert logs.shape == (len(r),) and np.all(logs <= 0.0)
+    above = np.maximum(logs, exact_cdf._LOG_ZERO_CUT)
+    assert np.all(np.diff(above) >= -1e-10 * (1.0 - above[:-1]))

@@ -5,11 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specrad import limit_laws
-from specrad.errors import NonConvergenceError
+from specrad.errors import NonConvergenceError, WorkBudgetError
 from specrad.limit_laws import (
     GUMBEL,
     SPHERICAL_H,
@@ -107,10 +107,37 @@ class TestSphericalH:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
 
+    def test_at_infinity_every_factor_is_one(self):
+        assert spherical_h_cdf(math.inf) == limit_laws.CdfValue(1.0, 0.0, 0.0)
+
+    def test_support_cut_is_the_rule_x_to_the_minus_2_above_745(self):
+        # the 64 doubles on each side of the cut; both powers agree with it
+        x = [limit_laws._H_ZERO_X]
+        for _ in range(64):
+            x = [math.nextafter(x[0], 0.0)] + x + [math.nextafter(x[-1], 1.0)]
+        x = np.array(x)
+        zero = x ** -2.0 > 745.0
+        assert zero.tolist() == [v ** -2.0 > 745.0 for v in x.tolist()]
+        assert zero.tolist() == [True] * 64 + [False] * 65
+        log_vec, bounds = limit_laws._spherical_h_log_vec(x, 1e-12)
+        assert np.array_equal(np.isneginf(log_vec), zero)
+        assert np.all(bounds[zero] == 0.0) and np.all(bounds[~zero] <= 1e-12)
+        scalar = [spherical_h_cdf(v) for v in x.tolist()]
+        assert [cv.log_value == -math.inf for cv in scalar] == zero.tolist()
+        assert all(cv.truncation_bound == 0.0 for cv, z in zip(scalar, zero) if z)
+
     def test_below_double_range_is_zero_on_both_paths(self):
         # tau = 2500 > 745: H(x) <= e^-tau is 0 in double precision
         assert spherical_h_cdf(0.02).value == 0.0
         assert cdf_values(SPHERICAL_H, [0.02], tol=1e-12)[0] == 0.0
+
+    @pytest.mark.parametrize("x", [1e-154, 7e-155, 1e-300, 5e-324])
+    def test_below_the_overflow_of_x_to_the_minus_2(self, x):
+        # x^-2 overflows below x ~ 7.46e-155, where the scalar path raised a
+        # bare OverflowError and the vector path warned
+        assert cdf(SPHERICAL_H, x) == limit_laws.CdfValue(0.0, -math.inf, 0.0)
+        assert upper_tail(SPHERICAL_H, x) == 1.0
+        assert cdf_values(SPHERICAL_H, [x, 1.0], tol=1e-12)[0] == 0.0
 
     # frozen values at points where the first Poisson span is too short
     # for tol, so the scalar loop doubles the span once
@@ -642,3 +669,42 @@ def test_phi_alpha_below_first_factor(x, alpha):
 @settings(max_examples=60, deadline=None)
 def test_gumbel_quantile_roundtrip(q):
     assert gumbel_cdf(quantile(GUMBEL, q)) == pytest.approx(q, abs=1e-12)
+
+
+ROBUSTNESS_LAWS = {"spherical-h": SPHERICAL_H, "gumbel": GUMBEL, "normal": STANDARD_NORMAL}
+
+
+@pytest.mark.parametrize("name", ["spherical-h", "gumbel", "product-alpha", "normal"])
+@given(
+    xs=st.lists(st.floats(allow_nan=False) | st.floats(-50.0, 50.0), min_size=1, max_size=4),
+    tol=st.floats(5e-324, 1e-3),
+    log10_alpha=st.floats(-8.0, 8.0),
+)
+@example(xs=[5e-324], tol=1e-12, log10_alpha=0.0)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_every_double_gives_a_cdf_or_a_typed_error(name, xs, tol, log10_alpha):
+    """x over all doubles (signed zeros, subnormals and infinities included)
+    and over the bulk [-50, 50]: the scalar and the vector cdf each return
+    values in [0, 1], nondecreasing in x up to the truncation tol, or raise
+    ValueError or a typed specrad error, and the two agree within
+    1e-12 + tol.  pytest turns numpy warnings into errors.  H raised
+    OverflowError at x = 5e-324."""
+    law = ROBUSTNESS_LAWS.get(name) or ProductLaw(10.0 ** log10_alpha)
+    xs = sorted(xs)
+    try:
+        scalar = [cdf(law, x, tol) for x in xs]
+    except (NonConvergenceError, WorkBudgetError, ValueError):
+        scalar = None
+    try:
+        vector = cdf_values(law, xs, tol)
+    except (NonConvergenceError, WorkBudgetError, ValueError):
+        vector = None
+    if scalar is not None:
+        assert all(0.0 <= cv.value <= 1.0 and cv.log_value <= 0.0 for cv in scalar)
+        logs = [cv.log_value for cv in scalar]
+        assert all(b >= a - tol - 1e-12 * (1.0 - a) for a, b in zip(logs, logs[1:]))
+    if vector is not None:
+        assert np.all((vector >= 0.0) & (vector <= 1.0))
+        assert np.all(np.diff(vector) >= -(1e-12 + tol))
+    if scalar is not None and vector is not None:
+        assert np.all(np.abs(vector - [cv.value for cv in scalar]) <= 1e-12 + tol)

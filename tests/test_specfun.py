@@ -15,7 +15,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specrad.specfun import (
-    Accuracy,
     _erfc_array,
     digamma,
     log_gamma,
@@ -328,10 +327,3 @@ class TestPoissonCdf:
             poisson_cdf(2, -0.5)
         with pytest.raises(ValueError):
             poisson_cdf(2.5, 1.0)
-
-
-class TestAccuracy:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Accuracy(max_terms=0)
-        assert Accuracy().max_terms >= 1

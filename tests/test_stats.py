@@ -157,6 +157,15 @@ class TestKsStatistic:
         assert report.statistic == float(np.max(gaps))
         assert report.location == values[int(np.argmax(gaps))]
 
+    def test_float_only_reference(self):
+        # math.erfc raises TypeError on an array, so the reference is called
+        # once per order statistic, and agrees with its array twin
+        values = np.array([0.3, -1.2, 2.5, 0.0, 0.7])
+        report = ks_statistic(_batch(values), lambda x: 0.5 * math.erfc(-x / math.sqrt(2.0)))
+        twin = ks_statistic(_batch(values), law_cdf_fn(STANDARD_NORMAL))
+        assert report.statistic == pytest.approx(twin.statistic, rel=1e-14, abs=0)
+        assert report.location == twin.location
+
     def test_non_monotone_reference_rejected(self):
         with pytest.raises(ValueError, match="monotone"):
             ks_statistic(_batch([0.0, 1.0, 2.0]), lambda x: -np.asarray(x, dtype=float))
