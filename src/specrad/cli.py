@@ -103,25 +103,28 @@ def _parse_regime(name: str, spec):
 
 
 def _law_from_name(name: str, alpha: float | None):
+    if name == "product-alpha":
+        if alpha is None:
+            raise ValueError("--law product-alpha requires --alpha")
+        return ProductLaw(alpha=alpha)
+    if alpha is not None:
+        raise ValueError("--alpha applies only to --law product-alpha")
     if name == "spherical-h":
         return SPHERICAL_H
     if name == "gumbel":
         return GUMBEL
     if name == "normal":
         return STANDARD_NORMAL
-    if name == "product-alpha":
-        if alpha is None:
-            raise ValueError("--law product-alpha requires --alpha")
-        return ProductLaw(alpha=alpha)
     raise ValueError(f"unknown law {name!r}")
 
 
 def _resolve_law(args, spec):
     """(law object, law name) for a sampled ensemble; auto follows the
     family and, for products, the selected or default regime.  An explicit
-    law sets the regime, so an explicit --regime must be the law's own."""
+    law sets the regime, so an explicit --regime must be the law's own;
+    --alpha needs --law product-alpha, so auto with --alpha raises."""
     regime = _parse_regime(args.regime, spec)
-    if args.law != "auto":
+    if args.law != "auto" or args.alpha is not None:
         law = _law_from_name(args.law, args.alpha)
         if args.regime != "auto" and stats._check_law_family(spec, law) != regime:
             raise ValueError(f"--law {args.law} does not follow from --regime {args.regime}")

@@ -16,26 +16,33 @@ accurate when tiny), and the log-product is the sum of per-factor logs.
 The logs are accurate down to log(1e-320); a cdf below that floor may come
 out as -inf or as any log below the floor, and the probability is 0.
 
-Each point's table covers only its own window, mean +/- 45 sd.  That cuts
-about 1e-440 of a Gaussian-like tail, an estimate and not a bound: the
-NegBinomial tail at small m is geometric (at m = 2, x = 0.99 the right
-edge is 61 nats below the mode), and there the m = 2 closed form checks
-the log-cdfs above the floor to 1e-12.  A table is built from the step
-ratios pmf(i)/pmf(i-1), summed outward from the point's mean, so its error
-does not grow with n.  Points are sorted by their mean and cut into blocks
-whose rows x union-width stays within _BLOCK_CELLS cells (one row when a
-window alone is wider), so working memory follows that budget and not how
-far apart the points lie.
+Each point's table covers only its own window, from mean - 45 sd to
+mean + 45 sd (and to the last factor's index).  That cuts about 1e-440 of a
+Gaussian-like tail, an estimate and not a bound: the NegBinomial tail at
+small m is geometric (at m = 2, x = 0.99 the right edge is 61 nats below
+the mode), and there the m = 2 closed form checks the log-cdfs above the
+floor to 1e-12.  A table is built from the step ratios pmf(i)/pmf(i-1),
+summed outward from the point's mean, so its error does not grow with n.
+Points are sorted by their mean and cut into blocks whose rows x
+union-width stays within _BLOCK_CELLS cells (one row when a window alone
+is wider), so working memory follows that budget and not how far apart
+the points lie.  P(X >= j) is the smaller tail only past the median, so
+suffix sums are taken only from where P(X < j) first reaches 1/4.
 
 One driver, `_pmf_log_sums`, does this for all three families; each states
 only its pmf mean, sd and step ratios, and for product k=1 and truncated a
 Chernoff exponent.  With J the last factor's index (n or p), a bound on
 J P(X <= J-1) below the floor certifies every factor as 1 (log 0), and one
 on P(X >= J), which bounds every factor, certifies the product as 0
-(-inf); neither builds a table.  A truncated point whose table would pass
-_WIDE_CELLS cells takes one incomplete-beta call per factor instead, as the
-complement 1 - I_{1-x}(m, j), which stays below 1/2 while the product is
-above the floor, so factors near 1 keep their relative accuracy.
+(-inf); neither builds a table.  A point whose mean is above J reads no
+column past J, so its window ends where the same exponent puts
+P(X >= edge) below e^-46 (Chernoff 1952): the cells cut each lie below half
+an ulp of the running total, which keeps its bits, and the log-cdfs move
+by about an ulp at most, where the narrower windows regroup the blocks.  A
+truncated point whose table would pass _WIDE_CELLS cells takes one
+incomplete-beta call per factor instead, as the complement
+1 - I_{1-x}(m, j), which stays below 1/2 while the product is above the
+floor, so factors near 1 keep their relative accuracy.
 
 For every k >= 2 the product factor P(S_j <= x), x = log r^2, S_j a sum of
 k logs of Gamma(j) variables, has no pmf table but has the mgf
@@ -83,6 +90,9 @@ _LOG_ZERO_CUT = math.log(1e-320)
 # (NegBinomial at small m) is cut far higher (see the module docstring)
 _WINDOW_SD = 45.0
 _WINDOW_PAD = 100
+# a window right of j_max ends where P(X >= edge) is below e^-46: the cells
+# past it hold under 1.1e-20 of the mass, under half an ulp of the total
+_EDGE_LOG_TAIL = -46.0
 # a truncated point whose table would pass this many cells takes one
 # incomplete-beta call per factor instead
 _WIDE_CELLS = 2_000_000
@@ -118,11 +128,13 @@ def _factor_log_sum(log_pmf: np.ndarray, i0: int, j_max: int) -> np.ndarray:
     """Sum of log tail-factors sum_{j=1}^{j_max} log P(X >= j) per row.
 
     ``log_pmf`` holds log pmf values on consecutive integers i0..i0+cols-1
-    (one row per evaluation point), up to a per-row constant; mass outside
-    the window must be below the 1e-320 floor.  Factors with j beyond the
-    window's right edge make the row -inf (the product is then 0 to double
-    precision); factors left of the window contribute log 1 = 0.  The
-    array is overwritten with the pmf scaled to its row maximum.
+    (one row per evaluation point), up to a per-row constant.  Mass left of
+    the window must be below the 1e-320 floor, and mass right of it below
+    half an ulp of the row's total and of each P(X >= j) the row reads
+    (j <= j_max, past the median).  Factors with j beyond the window's
+    right edge make the row -inf (the product is then 0 to double
+    precision); factors left of the window contribute log 1 = 0.  The array
+    is overwritten with the pmf scaled to its row maximum.
     """
     rows, cols = log_pmf.shape
     if j_max > i0 + cols - 1:
@@ -136,23 +148,26 @@ def _factor_log_sum(log_pmf: np.ndarray, i0: int, j_max: int) -> np.ndarray:
     w = log_pmf
     w -= np.max(w, axis=1, keepdims=True)
     np.exp(w, out=w)
-    prefix = np.cumsum(w, axis=1)
-    suffix = np.cumsum(w[:, ::-1], axis=1)[:, ::-1]
+    # prefix[:, c] = P(X < i0 + c), scaled; the last column is the row total
+    prefix = np.empty((rows, cols + 1))
+    prefix[:, 0] = 0.0
+    np.cumsum(w, axis=1, out=prefix[:, 1:])
     total = prefix[:, -1:]
-
-    suf = suffix[:, c_lo : c_hi + 1]
-    if c_lo >= 1:
-        pre = prefix[:, c_lo - 1 : c_hi]
-    else:
-        # window starts at the support origin; complements there are 0
-        pre = np.concatenate([np.zeros((rows, 1)), prefix[:, :c_hi]], axis=1)
+    pre = prefix[:, c_lo : c_hi + 1]
+    # each log factor from the smaller of P(X >= j) and P(X < j): P(X >= j)
+    # is the smaller only where P(X < j) >= total/2, so the suffix sums are
+    # taken from the first column where some row has P(X < j) >= total/4
+    s = int(np.min(np.sum(pre < 0.25 * total, axis=1)))
+    tail = w[:, c_lo + s :] if s < pre.shape[1] else w[:, :0]
+    suf = np.cumsum(tail[:, ::-1], axis=1)[:, ::-1][:, : pre.shape[1] - s]
+    small = np.zeros(pre.shape, dtype=bool)
+    np.less_equal(suf, pre[:, s:], out=small[:, s:])
+    logs = np.empty(pre.shape)
     with np.errstate(divide="ignore"):
-        # each log factor from the smaller of P(X >= j) and P(X < j)
-        logs = np.log1p(-np.minimum(pre / total, 1.0))
-        small = suf <= pre
-        direct = np.log(np.maximum(suf, 1e-320))
-        direct -= np.log(total)
-    np.copyto(logs, direct, where=small)
+        # pre <= total, so the complement's log1p stays in [-inf, 0]
+        np.log1p(-(pre / total), out=logs, where=~small)
+        np.log(np.maximum(suf, 1e-320), out=logs[:, s:], where=small[:, s:])
+        np.subtract(logs[:, s:], np.log(total), out=logs[:, s:], where=small[:, s:])
     return np.sum(logs, axis=1)
 
 
@@ -182,13 +197,18 @@ def _pmf_log_sums(j_max: int, centre, sd, row_step, col_step, cap: int | None = 
     """_factor_log_sum for every point, X with pmf mean ``centre`` and sd
     ``sd``, from a table over the point's own window, in cache-sized blocks.
 
-    ``log_tail(k)``, a per-point Chernoff exponent, bounds log P(X <= k)
-    below the mean and log P(X >= k) above it.  With it a point is log 0
-    where its mean is above j_max - 1 and j_max P(X <= j_max - 1) is below
-    the floor, and -inf where its mean is below j_max and P(X >= j_max),
-    which bounds every factor, is.  Points in ``skip`` that neither settles
-    come back NaN.  Every other point reads mean +/- 45 sd plus a pad, cut
-    at ``cap`` (the support's end) or else reaching j_max + pad.
+    ``log_tail(k)``, a per-point Chernoff exponent for k an integer or an
+    array over the points, bounds log P(X <= k) below the mean and
+    log P(X >= k) above it.  With it a point is log 0 where its mean is
+    above j_max - 1 and j_max P(X <= j_max - 1) is below the floor, and
+    -inf where its mean is below j_max and P(X >= j_max), which bounds
+    every factor, is.  Points in ``skip`` that neither settles come back
+    NaN.  Every other point's window starts at mean - 45 sd minus a pad.
+    It ends at ``cap`` (the support's end) or at mean + 45 sd plus the pad,
+    reaching j_max + pad; but a point whose mean is above j_max ends where
+    log_tail puts P(X >= edge) below e^-46, since its factors read no
+    column past j_max and the cells past the edge, each below half an ulp
+    of the row's running total, leave that total's bits as they are.
 
     A block's ``log_pmf[r, c]`` is log pmf(i0 + c) - log pmf(a) of point
     ``rows[r]``, a = round(centre) clipped to the block: cumulative sums of
@@ -210,6 +230,9 @@ def _pmf_log_sums(j_max: int, centre, sd, row_step, col_step, cap: int | None = 
     lo = np.maximum(np.floor(centre - _WINDOW_SD * sd).astype(np.int64) - _WINDOW_PAD, 0)
     hi = np.ceil(centre + _WINDOW_SD * sd).astype(np.int64) + _WINDOW_PAD
     hi = np.minimum(hi, cap) if cap is not None else np.maximum(hi, j_max + _WINDOW_PAD)
+    if log_tail is not None:
+        above = np.flatnonzero(centre > j_max)
+        hi[above] = _chernoff_edge(log_tail, idx[above], centre[above], hi[above], res.shape)
     hi = np.maximum(hi, lo)
     base = int(np.min(lo))
     table = col_step(np.arange(base + 1, int(np.max(hi)) + 1, dtype=float))
@@ -224,6 +247,22 @@ def _pmf_log_sums(j_max: int, centre, sd, row_step, col_step, cap: int | None = 
         )
         res[idx[rows]] = _factor_log_sum(log_pmf, i0, j_max)
     return res
+
+
+def _chernoff_edge(log_tail, points, mean, hi, shape):
+    """Per point, the least integer k in (floor(mean), hi] with log_tail(k)
+    below _EDGE_LOG_TAIL, or hi if there is none, by bisection: above the
+    mean log_tail falls.  ``log_tail`` takes k over all ``shape`` points;
+    ``points`` are the ones asked about, with pmf means ``mean``."""
+    lo, hi = np.floor(mean).astype(np.int64), hi.copy()
+    k = np.zeros(shape)
+    while np.any(hi - lo > 1):
+        mid = (lo + hi) // 2
+        k[points] = mid
+        below = log_tail(k)[points] < _EDGE_LOG_TAIL
+        hi = np.where(below, mid, hi)
+        lo = np.where(below, lo, mid)
+    return hi
 
 
 def _sums_outward(steps: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -274,9 +313,9 @@ def _truncated_log_cdf_vec(n: int, p: int, r: np.ndarray) -> np.ndarray:
     log_x = 2.0 * np.log(rp)
     log_1mx = np.log1p(-rp) + np.log1p(rp)
 
-    # Chernoff, t = k/(x(m+k)) in E[t^X] = ((1-x)/(1-xt))^m
+    # Chernoff, t = k/(x(m+k)) in E[t^X] = ((1-x)/(1-xt))^m; k log1p(m/k) -> 0 at k = 0
     def log_tail(k):
-        return (k * (log_x + math.log1p(m / k)) if k else 0.0) + m * (log_1mx + math.log1p(k / m))
+        return k * (log_x + np.log1p(m / np.maximum(k, 1))) + m * (log_1mx + np.log1p(k / m))
 
     sd = np.sqrt(m * x) / (1.0 - x)
     # pmf(i)/pmf(i-1) = (i+m-1)/i * x
@@ -316,9 +355,10 @@ def _product_k1_log_cdf_vec(n: int, s: np.ndarray) -> np.ndarray:
     y = np.exp(log_y)
 
     # Chernoff: P(Poisson(y) <= k) for k < y, and P(Poisson(y) >= k) for
-    # k > y, are at most e^-y (e y/k)^k
+    # k > y, are at most e^-y (e y/k)^k, which is e^-y at k = 0
     def log_tail(k):
-        return -y + (k * (1.0 + log_y - math.log(k)) if k > 0 else 0.0)
+        k1 = np.maximum(k, 1)
+        return -y + np.where(k > 0, k1 * (1.0 + log_y - np.log(k1)), 0.0)
 
     # pmf(i)/pmf(i-1) = y/i
     return _pmf_log_sums(n, y, np.sqrt(np.maximum(y, 1.0)), log_y, lambda i: -np.log(i),

@@ -301,6 +301,25 @@ class TestCmdKs:
         assert (code, out) == (2, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        # each exited 0: cdf printed the Gumbel table, and ks and converge ran
+        # the auto law, here alpha = k/n = 1 and not 3
+        ("cdf", "--law", "gumbel", "--alpha", "5", "--grid", "0:0:1"),
+        ("ks", "--ensemble", "product", "--n", "10", "--k", "10", "--reps", "20",
+         "--seed", "1", "--alpha", "3", "--format", "csv"),
+        ("ks", "--ensemble", "spherical", "--n", "10", "--law", "spherical-h",
+         "--alpha", "1", "--reps", "20", "--seed", "1"),
+        ("converge", "--ensemble", "product", "--n-list", "10", "--alpha", "1",
+         "--reps", "20", "--seed", "1"),
+    ], ids=["cdf-gumbel", "ks-auto", "ks-spherical-h", "converge-auto"])
+    def test_alpha_is_not_dropped(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --alpha applies only to --law product-alpha\n"
+        path = tmp_path / "out"
+        assert run_cli(capsys, *argv, "--output", str(path))[:2] == (2, "")
+        assert not path.exists()
+
     @pytest.mark.parametrize("n, k, regime, law", [
         ("400", "1", "small-k", ("gumbel",)),
         ("10", "10", "proportional", ("product-alpha", "--alpha", "1")),

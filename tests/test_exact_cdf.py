@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specrad import exact_cdf, norming, stats
+from specrad import exact_cdf, limit_laws, norming, stats
 from specrad.errors import NonConvergenceError, QuadratureError, WorkBudgetError
 from specrad.exact_cdf import (
     CdfCurve,
@@ -686,6 +686,101 @@ def test_no_drift_at_n_1e6(spec, r, want):
     # tables of log i! and log C summed over 10^6 terms put the log-cdf off
     # by 5e-9 (k=1) and 6.8e-10 (truncated) relative here
     assert exact_log_cdf(spec, [r])[0] == pytest.approx(want, rel=1e-11, abs=0)
+
+
+def _curve_statistics(spec, law, points=100):
+    """The statistics the exact_curves benchmark reads: the law's mass-span
+    grid over [1e-4, 1 - 1e-4], denormalized (log radii for products)."""
+    return norming._denormalize(norming.norming_for(spec), stats.mass_span_grid(law, points))
+
+
+def _ks_statistics(spec, law, reps=20_000):
+    """A KS-sized sorted sample: limit-law draws, denormalized."""
+    rng = np.random.default_rng(17)
+    if law is GUMBEL:
+        z = rng.gumbel(size=reps)
+    else:
+        z = limit_laws.quantiles(law, rng.uniform(1e-6, 1.0 - 1e-6, reps))
+    return np.sort(norming._denormalize(norming.norming_for(spec), z))
+
+
+NARROWED_CASES = [
+    ("spherical_2e3", Spherical(2_000), SPHERICAL_H, _curve_statistics),
+    ("spherical_1e6", Spherical(10**6), SPHERICAL_H, _curve_statistics),
+    ("truncated_2e4", TruncatedUnitary(20_000, 10_000), GUMBEL, _curve_statistics),
+    ("truncated_1e6", TruncatedUnitary(10**6, 5 * 10**5), GUMBEL, _curve_statistics),
+    ("k1_1e4", GinibreProduct(10**4, 1), GUMBEL, _curve_statistics),
+    ("k1_1e6", GinibreProduct(10**6, 1), GUMBEL, _curve_statistics),
+    ("k1_1e6_wide", GinibreProduct(10**6, 1), None,
+     lambda spec, law: np.log(1000.0 * np.linspace(0.9, 1.2, 200))),
+    ("ks_spherical_50", Spherical(50), SPHERICAL_H, _ks_statistics),
+    ("ks_truncated_60", TruncatedUnitary(60, 30), GUMBEL, _ks_statistics),
+    ("ks_k1_40", GinibreProduct(40, 1), GUMBEL, _ks_statistics),
+]
+
+
+@pytest.mark.parametrize("spec, law, statistics", [case[1:] for case in NARROWED_CASES],
+                         ids=[case[0] for case in NARROWED_CASES])
+def test_narrowed_tables_match_the_45_sd_edge(monkeypatch, spec, law, statistics):
+    """Tables that end at the Chernoff edge against the same kernel with
+    every window reaching mean + 45 sd: within 1e-15 relative, the same
+    certified 0 and -inf points, and bit-identical where every block is one
+    row (n = 10^6, windows wider than _BLOCK_CELLS / 2)."""
+    s = statistics(spec, law)
+    got = exact_cdf._statistic_log_cdf(spec, s)
+    monkeypatch.setattr(exact_cdf, "_EDGE_LOG_TAIL", -np.inf)
+    want = exact_cdf._statistic_log_cdf(spec, s)
+    settled = np.isneginf(want) | (want == 0.0)
+    assert np.array_equal(got[settled], want[settled])
+    np.testing.assert_allclose(got[~settled], want[~settled], rtol=1e-15, atol=0)
+    if spec.n == 10**6:
+        assert np.array_equal(got, want)
+
+
+EDGE_CASES = [
+    ("k1_1e6", GinibreProduct(10**6, 1), lambda spec: _curve_statistics(spec, GUMBEL)),
+    ("k1_40", GinibreProduct(40, 1), lambda spec: _ks_statistics(spec, GUMBEL, 2_000)),
+    ("truncated_1e6", TruncatedUnitary(10**6, 5 * 10**5),
+     lambda spec: _curve_statistics(spec, GUMBEL)),
+    ("truncated_60", TruncatedUnitary(60, 30), lambda spec: _ks_statistics(spec, GUMBEL, 2_000)),
+    # m = 2, a geometric tail: means from 100 to 2e4 above p = 100
+    ("truncated_m2", TruncatedUnitary(102, 100),
+     lambda spec: np.sqrt(1.0 - 0.0196 * np.logspace(0.0, -2.3, 40))),
+]
+
+
+@pytest.mark.parametrize("spec, statistics", [case[1:] for case in EDGE_CASES],
+                         ids=[case[0] for case in EDGE_CASES])
+def test_chernoff_edge_cuts_less_than_e_minus_46(monkeypatch, spec, statistics):
+    """A point whose pmf mean is above the last factor's index J ends its
+    table at the Chernoff edge, at or past J and short of mean + 45 sd;
+    there P(X >= edge), which bounds the mass cut, is below e^-46 by scipy's
+    Poisson (pdtrc) and NegBinomial (nbinom.logsf) tails."""
+    special = pytest.importorskip("scipy.special")
+    scipy_stats = pytest.importorskip("scipy.stats")
+    calls = []
+    real = exact_cdf._chernoff_edge
+
+    def spy(log_tail, points, mean, hi, shape):
+        edge = real(log_tail, points, mean, hi, shape)
+        calls.append((points, edge, hi))
+        return edge
+
+    monkeypatch.setattr(exact_cdf, "_chernoff_edge", spy)
+    s = statistics(spec)
+    exact_cdf._statistic_log_cdf(spec, s)
+    (points, edge, hi), = calls
+    assert points.size > 0
+    if isinstance(spec, GinibreProduct):
+        j_max = spec.n
+        with np.errstate(divide="ignore"):
+            log_mass = np.log(special.pdtrc(edge - 1, np.exp(2.0 * s[points])))
+    else:
+        j_max = spec.p
+        r = s[(s > 0.0) & (s < 1.0)][points]
+        log_mass = scipy_stats.nbinom.logsf(edge - 1, spec.n - spec.p, (1.0 - r) * (1.0 + r))
+    assert np.all(edge >= j_max) and np.all(edge < hi)
+    assert np.all(log_mass < -46.0)
 
 
 # log-cdfs of the k=2 radius from the Bessel closed form of each factor,

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specrad import exact_cdf, limit_laws, stats
+from specrad.errors import NonConvergenceError, WorkBudgetError
 from specrad.limit_laws import (
     GUMBEL,
     SPHERICAL_H,
@@ -389,3 +390,31 @@ class TestExactLimitGap:
         spec = TruncatedUnitary(60, 30)
         assert stats._exact_limit_gap(spec, GUMBEL) == stats._exact_limit_gap(
             spec, GUMBEL, mass_span_grid(GUMBEL))
+
+
+@pytest.mark.filterwarnings("ignore:p/n = .* is outside")
+@pytest.mark.parametrize("family", ["spherical", "truncated", "product"])
+@given(
+    n=st.integers(1, 3000),
+    other=st.integers(0, 3000),
+    points=st.integers(1, 300),
+    lo=st.sampled_from([1e-4, 1e-8, 1e-15]),
+)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_every_spec_gives_a_gap_or_a_typed_error(family, n, other, points, lo):
+    """Spherical, truncated (p from 1 to n) and k=1 specs up to n = 3000,
+    against their own limit law on mass-span grids from [1e-4, 1 - 1e-4]
+    out to [1e-15, 1 - 1e-15]: the exact-vs-limit gap is finite and in
+    [0, 1], or the call raises ValueError or a typed specrad error.  pytest
+    turns numpy warnings into errors."""
+    if family == "spherical":
+        spec, law = Spherical(n), SPHERICAL_H
+    elif family == "truncated":
+        spec, law = TruncatedUnitary(n + 1, 1 + other % n), GUMBEL
+    else:
+        spec, law = GinibreProduct(n, 1), GUMBEL
+    try:
+        gap = stats._exact_limit_gap(spec, law, mass_span_grid(law, points, lo))
+    except (NonConvergenceError, WorkBudgetError, ValueError):
+        return
+    assert math.isfinite(gap) and 0.0 <= gap <= 1.0
